@@ -12,7 +12,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use md_core::device::{MdDevice, RunOptions};
 use md_core::params::SimConfig;
 use mdea_bench::{sim_criterion, sim_duration};
-use mta::{MtaConfig, MtaMd, MtaMdSimulation, ThreadingMode};
+use mta::{MtaConfig, MtaMd, ThreadingMode};
 use opteron::{OpteronConfig, OpteronCpu};
 
 fn spe_count_sweep(c: &mut Criterion) {
@@ -53,10 +53,7 @@ fn xmt_projection(c: &mut Criterion) {
         ),
         ("xmt-16proc-placed", MtaConfig::xmt_nonuniform(16, 0.05)),
     ] {
-        let mut m = MtaMd::new(
-            MtaMdSimulation::new(config),
-            ThreadingMode::FullyMultithreaded,
-        );
+        let mut m = MtaMd::new(config, ThreadingMode::FullyMultithreaded);
         group.bench_function(label, move |b| {
             b.iter_custom(|iters| {
                 let run = m

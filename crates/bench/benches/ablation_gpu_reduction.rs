@@ -20,13 +20,17 @@ fn gpu_reduction(c: &mut Criterion) {
         let sim = SimConfig::reduced_lj(n);
         group.bench_with_input(BenchmarkId::new("cpu-readback", n), &n, |b, _| {
             b.iter_custom(|iters| {
-                let run = runner.run_md_with(&sim, steps, ReductionStrategy::CpuReadback);
+                let run = runner
+                    .run_md_with(&sim, steps, ReductionStrategy::CpuReadback)
+                    .expect("GPU model runs any valid workload");
                 sim_duration(run.sim_seconds, iters)
             });
         });
         group.bench_with_input(BenchmarkId::new("gpu-multipass", n), &n, |b, _| {
             b.iter_custom(|iters| {
-                let run = runner.run_md_with(&sim, steps, ReductionStrategy::GpuMultiPass);
+                let run = runner
+                    .run_md_with(&sim, steps, ReductionStrategy::GpuMultiPass)
+                    .expect("GPU model runs any valid workload");
                 sim_duration(run.sim_seconds, iters)
             });
         });

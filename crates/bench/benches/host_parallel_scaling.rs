@@ -3,9 +3,9 @@
 //! Unlike the `fig*` benches this measures real host time, not simulated
 //! seconds: the quantity under test is how fast the host can execute one
 //! Opteron-reference 2048-atom / 10-step run. The baseline is the same run
-//! with the force-evaluation replay memo disabled — the full O(N²) cache
-//! replay per evaluation — which is what the host-parallel work optimizes
-//! away. Every configuration returns bitwise-identical simulated results
+//! with the step driver's shared-eval switch off — the interpretive gather
+//! rows and the full O(N²) cache replay per evaluation — which is what the
+//! host-parallel work optimizes away. Every configuration returns bitwise-identical simulated results
 //! (`tests/host_parallel.rs`); only wall-clock differs here.
 //!
 //! On single-core hosts the `threads` series is flat: the win comes from the
@@ -13,6 +13,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use md_core::device::{MdDevice, RunOptions};
+use md_core::driver::CostModel;
 use md_core::params::SimConfig;
 use mdea_bench::host_criterion;
 use opteron::OpteronCpu;
@@ -26,7 +27,7 @@ fn host_parallel_scaling(c: &mut Criterion) {
     group.bench_function("baseline_memo_off_serial", |b| {
         b.iter(|| {
             let mut cpu = OpteronCpu::paper_reference();
-            cpu.set_trace_memo(false);
+            cpu.driver().shared_eval = false;
             cpu.run(&sim, RunOptions::steps(STEPS))
                 .expect("reference CPU runs")
         });

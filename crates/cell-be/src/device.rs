@@ -6,15 +6,22 @@ use crate::dma::DmaEngine;
 use crate::error::CellError;
 #[cfg(feature = "hazard-check")]
 use crate::hazard::{Dir, HazardChecker};
-use crate::kernel::{compute_accelerations, KernelStats, SpeKernelVariant, SpeLanePhysics};
+use crate::kernel::{
+    compute_accelerations, KernelStats, SpeKernelVariant, SpeLanePhysics, SpeLanePhysicsF64,
+};
 use crate::localstore::{LocalStore, LsRegion};
 use crate::ppe::PpeModel;
 use crate::spe::Spe;
+use md_core::device::{counter_total, DeviceError, FaultPlan, FaultStats, HostParallelism};
+use md_core::driver::{
+    recovery, start_system, CostModel, CostReport, Eval, FaultKind, FaultSite, Faults, SiteOutcome,
+    StepCost, StepDriver,
+};
 use md_core::init;
 use md_core::observables::EnergyReport;
 use md_core::params::SimConfig;
 use md_core::system::ParticleSystem;
-use md_core::verlet::VelocityVerlet;
+use sim_perf::PerfMonitor;
 
 /// How SPE threads are managed across time steps (Figure 6).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -83,8 +90,7 @@ pub struct CellRun {
     pub kernel_stats: KernelStats,
     pub config: CellRunConfig,
     /// Injected-fault ledger for this run (zero when no plan is armed).
-    #[cfg(feature = "fault-inject")]
-    pub faults: sim_fault::FaultStats,
+    pub faults: FaultStats,
 }
 
 impl CellRun {
@@ -98,53 +104,78 @@ impl CellRun {
 /// The simulated Cell blade.
 pub struct CellBeDevice {
     pub config: CellConfig,
-    /// Physics-once replay memo (DESIGN.md §17): when enabled (the default)
-    /// and the run uses the fully SIMDized kernel variant, each SPE slice's
-    /// physics is evaluated once through the shared batched kernel and the
-    /// per-pair cost loop is replayed in closed form. Bitwise identical to
-    /// the interpretive path in state, energies, sim-seconds, and counters;
-    /// disabling it (`set_eval_memo(false)`) restores the interpretive loop
-    /// for baseline timing.
-    eval_memo: bool,
-    /// Armed fault schedule; `None` runs fault-free (see DESIGN.md §9).
-    #[cfg(feature = "fault-inject")]
-    pub fault_plan: Option<sim_fault::FaultPlan>,
+    /// Fault plan and shared-eval switch. Only the resident SPE-offload path
+    /// has fault sites; under the shared-eval switch, runs of the fully
+    /// SIMDized kernel variant evaluate each SPE slice through the shared
+    /// batched kernel and replay the per-pair cost loop in closed form.
+    driver: StepDriver,
 }
 
 impl CellBeDevice {
     pub fn new(config: CellConfig) -> Self {
         Self {
             config,
-            eval_memo: true,
-            #[cfg(feature = "fault-inject")]
-            fault_plan: None,
+            driver: StepDriver::default(),
         }
-    }
-
-    /// Enable or disable the shared-eval replay memo.
-    pub fn set_eval_memo(&mut self, enabled: bool) {
-        self.eval_memo = enabled;
     }
 
     pub fn paper_blade() -> Self {
         Self::new(CellConfig::paper_blade())
     }
 
-    /// Arm a deterministic fault schedule for subsequent runs (primary
-    /// resident path only; the tiled/double/PPE-only paths stay
-    /// fault-free).
-    #[cfg(feature = "fault-inject")]
+    /// Arm a deterministic fault schedule for subsequent runs (resident
+    /// path only; the tiled/double/PPE-only paths stay fault-free).
     #[must_use]
-    pub fn with_fault_plan(mut self, plan: sim_fault::FaultPlan) -> Self {
-        self.fault_plan = Some(plan);
+    pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
+        self.driver.fault_plan = Some(plan);
         self
     }
 
-    fn lane_physics(sim: &SimConfig, sys: &ParticleSystem<f32>) -> SpeLanePhysics {
-        SpeLanePhysics {
-            sub: sim.substrate::<f32>(),
-            box_len: sys.box_len,
-            inv_mass: 1.0 / sys.mass,
+    /// Run `steps` from a fresh lattice under the cost model `start` builds,
+    /// reporting the Cell's own breakdown.
+    fn drive<S, F>(
+        &self,
+        sim: &SimConfig,
+        steps: usize,
+        driver: StepDriver,
+        config: CellRunConfig,
+        start: F,
+    ) -> Result<CellRun, DeviceError>
+    where
+        S: StepCost + CellPath,
+        F: FnOnce(&ParticleSystem<S::Real>, &mut PerfMonitor) -> Result<S, DeviceError>,
+    {
+        let (mut sys, start_step) = start_system(sim, None)?;
+        let mut perf = PerfMonitor::new();
+        let mut cost = start(&sys, &mut perf)?;
+        let run = driver.drive(
+            &mut cost,
+            &mut sys,
+            start_step,
+            sim,
+            steps,
+            HostParallelism::Serial,
+            &mut perf,
+        )?;
+        let tl = cost.timeline();
+        Ok(CellRun {
+            sim_seconds: run.sim_seconds,
+            breakdown: tl.breakdown,
+            energies: run.energies,
+            kernel_stats: KernelStats {
+                cycles: tl.breakdown.compute,
+                ..tl.stats
+            },
+            config,
+            faults: run.faults,
+        })
+    }
+
+    /// The same run with no fault plan armed.
+    fn fault_free(&self) -> StepDriver {
+        StepDriver {
+            fault_plan: None,
+            ..self.driver
         }
     }
 
@@ -159,540 +190,14 @@ impl CellBeDevice {
         steps: usize,
         run: CellRunConfig,
         tracer: &mut mdea_trace::Tracer,
-    ) -> Result<CellRun, CellError> {
-        tracer.name_track(mdea_trace::TraceTrack(0), "PPE");
+    ) -> Result<CellRun, DeviceError> {
+        check_spes(run, &self.config)?;
+        tracer.name_track(PPE_TRACK, "PPE");
         for s in 0..run.n_spes {
-            tracer.name_track(mdea_trace::TraceTrack(1 + s as u32), format!("SPE {s}"));
+            tracer.name_track(spe_track(s), format!("SPE {s}"));
         }
-        let mut sys: ParticleSystem<f32> = init::initialize(sim);
-        self.run_md_impl(
-            &mut sys,
-            sim,
-            steps,
-            run,
-            Some(tracer),
-            None,
-            md_core::device::HostParallelism::Serial,
-        )
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn run_md_impl(
-        &self,
-        sys: &mut ParticleSystem<f32>,
-        sim: &SimConfig,
-        steps: usize,
-        run: CellRunConfig,
-        mut tracer: Option<&mut mdea_trace::Tracer>,
-        mut perf: Option<&mut sim_perf::PerfMonitor>,
-        par: md_core::device::HostParallelism,
-    ) -> Result<CellRun, CellError> {
-        assert!(
-            run.n_spes >= 1 && run.n_spes <= self.config.n_spes,
-            "n_spes must be in 1..={}",
-            self.config.n_spes
-        );
-        let n = sys.n();
-        let vv = VelocityVerlet::new(sim.dt as f32);
-        let ppe = PpeModel::new(&self.config);
-        let dma = DmaEngine::new(&self.config);
-        let params = Self::lane_physics(sim, sys);
-        // Ensemble upkeep (thermostat) runs on the PPE after the final kick;
-        // zero cycles under NVE, so the seed cost model is untouched.
-        let ens_cycles = sys.n() as f64 * params.sub.extra_step_ops_per_atom();
-
-        // One fault session per run: the plan decides, the session keeps the
-        // retry/exhaustion ledger and the simulated-time cost of recovery.
-        #[cfg(feature = "fault-inject")]
-        let mut fault = self.fault_plan.map(sim_fault::FaultSession::new);
-
-        // Main memory image: positions then accelerations, quadword layout.
-        let mut main_memory = vec![0u8; 2 * n * 16];
-
-        // Bring up the SPEs and their local-store layouts.
-        let mut spes: Vec<Spe> = (0..run.n_spes)
-            .map(|id| Spe::new(id, &self.config))
-            .collect();
-        let mut regions: Vec<(LsRegion, LsRegion)> = Vec::with_capacity(run.n_spes);
-        for spe in &mut spes {
-            let pos = spe.alloc_quads(n)?;
-            let acc = spe.alloc_quads(n)?;
-            regions.push((pos, acc));
-        }
-        let slices: Vec<(usize, usize)> = partition(n, run.n_spes);
-
-        // Under hazard-check, shadow every DMA command, tag wait, compute
-        // access, and blocking mailbox op with the asynchronous-hardware race
-        // detector (one checker per local store).
-        #[cfg(feature = "hazard-check")]
-        let mut hazard: Vec<HazardChecker> =
-            (0..run.n_spes).map(|_| HazardChecker::new()).collect();
-
-        let mut breakdown = CostBreakdown::default();
-        let mut stats_total = KernelStats::default();
-        let mut launched = false;
-        let handles = perf
-            .as_deref_mut()
-            .map(|p| PerfHandles::register(p, run.n_spes));
-        let mut mailbox_round_trips = 0u64;
-
-        // Simulated-time cursor for the (optional) execution timeline.
-        let clk = self.config.clock_hz;
-        let mut t_now = 0.0f64;
-        let ppe_track = mdea_trace::TraceTrack(0);
-        let spe_track = |s: usize| mdea_trace::TraceTrack(1 + s as u32);
-
-        let mut pe_total = 0.0f32;
-        // `evals` = 1 priming force evaluation + one per time step.
-        for eval in 0..=steps {
-            if eval > 0 {
-                breakdown.ppe += ppe.integration_cycles(n);
-                let dur = ppe.integration_cycles(n) / clk;
-                if let Some(tr) = tracer.as_deref_mut() {
-                    tr.span(ppe_track, "integrate: kick+drift", "ppe", t_now, dur);
-                }
-                t_now += dur;
-                vv.kick_drift(sys);
-            }
-
-            // Thread management per Figure 6.
-            match run.policy {
-                SpawnPolicy::RespawnEveryStep => {
-                    for (s, spe) in spes.iter_mut().enumerate() {
-                        #[cfg(feature = "fault-inject")]
-                        {
-                            // A failed spe_create_thread is repeated at full
-                            // launch cost.
-                            let extra = resolve_fault_site(
-                                &mut fault,
-                                sim_fault::FaultSite::new(
-                                    sim_fault::FaultKind::SpeLaunch,
-                                    eval as u64,
-                                    s as u32,
-                                    0,
-                                ),
-                                self.config.spawn_cycles,
-                                clk,
-                            )?;
-                            if extra > 0.0 {
-                                if let Some(tr) = tracer.as_deref_mut() {
-                                    tr.instant(
-                                        ppe_track,
-                                        format!("fault: spe-launch retry (SPE {s})"),
-                                        "fault",
-                                        t_now,
-                                    );
-                                }
-                                breakdown.spawn += extra;
-                                t_now += extra / clk;
-                            }
-                        }
-                        spe.start_thread();
-                        if let Some(tr) = tracer.as_deref_mut() {
-                            tr.span(
-                                ppe_track,
-                                format!("spawn SPE {s} thread"),
-                                "spawn",
-                                t_now,
-                                self.config.spawn_cycles / clk,
-                            );
-                        }
-                        t_now += self.config.spawn_cycles / clk;
-                    }
-                    breakdown.spawn += run.n_spes as f64 * self.config.spawn_cycles;
-                }
-                SpawnPolicy::LaunchOnce => {
-                    if !launched {
-                        for (s, spe) in spes.iter_mut().enumerate() {
-                            #[cfg(feature = "fault-inject")]
-                            {
-                                let extra = resolve_fault_site(
-                                    &mut fault,
-                                    sim_fault::FaultSite::new(
-                                        sim_fault::FaultKind::SpeLaunch,
-                                        eval as u64,
-                                        s as u32,
-                                        0,
-                                    ),
-                                    self.config.spawn_cycles,
-                                    clk,
-                                )?;
-                                if extra > 0.0 {
-                                    if let Some(tr) = tracer.as_deref_mut() {
-                                        tr.instant(
-                                            ppe_track,
-                                            format!("fault: spe-launch retry (SPE {s})"),
-                                            "fault",
-                                            t_now,
-                                        );
-                                    }
-                                    breakdown.spawn += extra;
-                                    t_now += extra / clk;
-                                }
-                            }
-                            spe.start_thread();
-                            if let Some(tr) = tracer.as_deref_mut() {
-                                tr.span(
-                                    ppe_track,
-                                    format!("spawn SPE {s} thread"),
-                                    "spawn",
-                                    t_now,
-                                    self.config.spawn_cycles / clk,
-                                );
-                            }
-                            t_now += self.config.spawn_cycles / clk;
-                        }
-                        breakdown.spawn += run.n_spes as f64 * self.config.spawn_cycles;
-                        launched = true;
-                    } else {
-                        // "Signal them using mailboxes when there is more
-                        // data to process."
-                        #[allow(clippy::unused_enumerate_index)]
-                        // index feeds the hazard checker when the feature is on
-                        for (_s, spe) in spes.iter_mut().enumerate() {
-                            #[cfg(feature = "fault-inject")]
-                            {
-                                // A dropped mailbox message costs a fresh
-                                // PPE service round plus the SPE-side read.
-                                let extra = resolve_fault_site(
-                                    &mut fault,
-                                    sim_fault::FaultSite::new(
-                                        sim_fault::FaultKind::MailboxDrop,
-                                        eval as u64,
-                                        _s as u32,
-                                        0,
-                                    ),
-                                    self.config.ppe_service_cycles + self.config.mailbox_cycles,
-                                    clk,
-                                )?;
-                                if extra > 0.0 {
-                                    if let Some(tr) = tracer.as_deref_mut() {
-                                        tr.instant(
-                                            ppe_track,
-                                            format!("fault: mailbox-drop resend (SPE {_s})"),
-                                            "fault",
-                                            t_now,
-                                        );
-                                    }
-                                    breakdown.mailbox += extra;
-                                    t_now += extra / clk;
-                                }
-                            }
-                            #[cfg(feature = "hazard-check")]
-                            hazard[_s].note_mailbox_write(_s, spe.inbox.is_full());
-                            spe.inbox.write(eval as u32);
-                        }
-                        let dur = run.n_spes as f64 * self.config.ppe_service_cycles / clk;
-                        if let Some(tr) = tracer.as_deref_mut() {
-                            tr.span(ppe_track, "mailbox handshake", "mailbox", t_now, dur);
-                        }
-                        t_now += dur;
-                        breakdown.mailbox += run.n_spes as f64 * self.config.ppe_service_cycles;
-                    }
-                }
-            }
-
-            // Serialize current positions into main memory.
-            for (i, p) in sys.positions.iter().enumerate() {
-                write_quad(&mut main_memory, i, [p.x, p.y, p.z, 0.0]);
-            }
-
-            // Each SPE: DMA in all positions, compute its slice, DMA out.
-            // SPEs run concurrently; the step's wall time is the slowest SPE.
-            //
-            // The simulated concurrency maps onto host threads: the main
-            // memory image splits into the shared position half (read by
-            // every SPE's get) and per-SPE acceleration windows (each SPE
-            // puts only its own slice), so each lane owns disjoint state.
-            // Fault sites are peeked in-lane (pure) and committed below in
-            // SPE order; every reduction — cost maxima, kernel stats, PE,
-            // perf counters, tracer spans — happens in the serial fold, so
-            // the run is bitwise identical to the serial loop at any host
-            // thread count.
-            let (pos_mem, acc_mem) = main_memory.split_at_mut(n * 16);
-            let pos_mem: &[u8] = pos_mem;
-            let mut lanes: Vec<SpeLane> = Vec::with_capacity(run.n_spes);
-            {
-                let mut acc_rest: &mut [u8] = acc_mem;
-                #[cfg(feature = "hazard-check")]
-                let mut hz_iter = hazard.iter_mut();
-                for (s, spe) in spes.iter_mut().enumerate() {
-                    let (lo, hi) = slices[s];
-                    let (window, rest) = std::mem::take(&mut acc_rest).split_at_mut((hi - lo) * 16);
-                    acc_rest = rest;
-                    lanes.push(SpeLane {
-                        spe,
-                        acc_out: window,
-                        // `hazard` is built with exactly one checker per SPE
-                        // a few lines up; the iterator cannot run dry.
-                        #[cfg(feature = "hazard-check")]
-                        hazard: hz_iter.next().expect("one checker per SPE"), // sim-vet: allow(panic-discipline)
-                    });
-                }
-            }
-            #[cfg(feature = "fault-inject")]
-            let fault_peek = fault.as_ref();
-            let lane_outs = md_core::parallel::map_lanes(
-                par,
-                &mut lanes,
-                |s, lane: &mut SpeLane| -> Result<SpeLaneOut, CellError> {
-                    let spe = &mut *lane.spe;
-                    let mut round_trips = 0u64;
-                    if run.policy == SpawnPolicy::LaunchOnce && eval > 0 {
-                        #[cfg(feature = "hazard-check")]
-                        lane.hazard.note_mailbox_read(s, spe.inbox.is_empty());
-                        let _go = spe.inbox.read();
-                        spe.charge(self.config.mailbox_cycles);
-                        round_trips += 1;
-                    }
-                    let (pos_r, acc_r) = regions[s];
-                    let (lo, hi) = slices[s];
-
-                    #[cfg(feature = "hazard-check")]
-                    lane.hazard.dma_issue(0, Dir::Get, pos_r);
-                    let dma_in = dma.get(pos_mem, &mut spe.local_store, pos_r, 0, n * 16)?;
-                    // The functional transfer above always lands pristine data;
-                    // injected failures only re-model the transfer's cost, so
-                    // physics is untouched by construction. Failed transfer →
-                    // full re-issue of the get; tag-group wait spins out → spin
-                    // window plus a fresh issue-and-wait (two transfers' worth).
-                    #[cfg(feature = "fault-inject")]
-                    let (dma_in, fault_get, fault_tag) = {
-                        let site_get = sim_fault::FaultSite::new(
-                            sim_fault::FaultKind::DmaTransfer,
-                            eval as u64,
-                            s as u32,
-                            0,
-                        );
-                        let site_tag = sim_fault::FaultSite::new(
-                            sim_fault::FaultKind::TagWaitTimeout,
-                            eval as u64,
-                            s as u32,
-                            0,
-                        );
-                        let out_get = peek_fault_site(fault_peek, site_get);
-                        let out_tag = peek_fault_site(fault_peek, site_tag);
-                        let reissue = peeked_extra_cycles(out_get, dma_in);
-                        let spin = peeked_extra_cycles(out_tag, 2.0 * dma_in);
-                        (
-                            dma_in + reissue + spin,
-                            (site_get, out_get, dma_in),
-                            (site_tag, out_tag, 2.0 * dma_in),
-                        )
-                    };
-                    #[cfg(feature = "hazard-check")]
-                    {
-                        // The functional engine transfers synchronously; the
-                        // modeled hardware pattern is issue → tag wait → compute.
-                        lane.hazard.tag_wait(0);
-                        lane.hazard.compute_read(pos_r);
-                        lane.hazard.compute_write(acc_r);
-                    }
-                    // Physics-once split (DESIGN.md §17): under the memo the
-                    // slice's physics comes from the shared batched kernel
-                    // and the cycle charge is the closed-form replay — both
-                    // bitwise the interpretive loop's results.
-                    let (pe_slice, stats) =
-                        if self.eval_memo && run.variant == SpeKernelVariant::SimdAcceleration {
-                            crate::kernel::compute_accelerations_shared(
-                                &mut spe.local_store,
-                                pos_r,
-                                acc_r,
-                                lo..hi,
-                                n,
-                                params,
-                                &self.config.costs,
-                            )
-                        } else {
-                            compute_accelerations(
-                                &mut spe.local_store,
-                                pos_r,
-                                acc_r,
-                                lo..hi,
-                                n,
-                                params,
-                                run.variant,
-                                &self.config.costs,
-                            )
-                        };
-                    // DMA the computed slice back (a sub-range of the acc region,
-                    // landing in this SPE's window of the acceleration image).
-                    let slice_view = LsRegion {
-                        offset: acc_r.offset + lo * 16,
-                        len: (hi - lo) * 16,
-                    };
-                    #[cfg(feature = "hazard-check")]
-                    lane.hazard.dma_issue(1, Dir::Put, slice_view);
-                    let dma_out = dma.put(
-                        &spe.local_store,
-                        lane.acc_out,
-                        slice_view,
-                        0,
-                        (hi - lo) * 16,
-                    )?;
-                    #[cfg(feature = "fault-inject")]
-                    let (dma_out, fault_put) = {
-                        let site = sim_fault::FaultSite::new(
-                            sim_fault::FaultKind::DmaTransfer,
-                            eval as u64,
-                            s as u32,
-                            1,
-                        );
-                        let out = peek_fault_site(fault_peek, site);
-                        let reissue = peeked_extra_cycles(out, dma_out);
-                        (dma_out + reissue, (site, out, dma_out))
-                    };
-                    #[cfg(feature = "hazard-check")]
-                    lane.hazard.tag_wait(1);
-                    // Completion notification to the PPE.
-                    #[cfg(feature = "hazard-check")]
-                    lane.hazard.note_mailbox_write(s, spe.outbox.is_full());
-                    spe.outbox.write(1);
-                    #[cfg(feature = "hazard-check")]
-                    lane.hazard.note_mailbox_read(s, spe.outbox.is_empty());
-                    let _ = spe.outbox.read();
-                    round_trips += 1;
-
-                    spe.charge(dma_in + stats.cycles + self.config.mailbox_cycles + dma_out);
-                    if run.policy == SpawnPolicy::RespawnEveryStep {
-                        spe.stop_thread();
-                    }
-                    Ok(SpeLaneOut {
-                        dma_in,
-                        dma_out,
-                        stats,
-                        pe_slice,
-                        round_trips,
-                        #[cfg(feature = "fault-inject")]
-                        faults: [fault_get, fault_tag, fault_put],
-                    })
-                },
-            );
-
-            // Serial fold in SPE order: fault ledger, reductions, timeline.
-            let mut max_spe_cycles = 0.0f64;
-            let mut max_spe_dma = 0.0f64;
-            pe_total = 0.0;
-            for (s, lane_out) in lane_outs.into_iter().enumerate() {
-                let out = lane_out?;
-                #[cfg(feature = "fault-inject")]
-                {
-                    let [g, t, p] = out.faults;
-                    let reissue = commit_fault_site(&mut fault, g.0, g.1, g.2, clk)?;
-                    let spin = commit_fault_site(&mut fault, t.0, t.1, t.2, clk)?;
-                    if reissue + spin > 0.0 {
-                        if let Some(tr) = tracer.as_deref_mut() {
-                            tr.instant(spe_track(s), "fault: dma get retried", "fault", t_now);
-                        }
-                    }
-                    let put_reissue = commit_fault_site(&mut fault, p.0, p.1, p.2, clk)?;
-                    if put_reissue > 0.0 {
-                        if let Some(tr) = tracer.as_deref_mut() {
-                            tr.instant(spe_track(s), "fault: dma put retried", "fault", t_now);
-                        }
-                    }
-                }
-                let (lo, hi) = slices[s];
-                let mbox = self.config.mailbox_cycles;
-                let spe_cycles = out.stats.cycles + mbox;
-                mailbox_round_trips += out.round_trips;
-                if let Some(tr) = tracer.as_deref_mut() {
-                    // The SPEs run concurrently: each track starts at the
-                    // same phase-begin time.
-                    let mut t = t_now;
-                    tr.span(
-                        spe_track(s),
-                        "DMA get positions",
-                        "dma",
-                        t,
-                        out.dma_in / clk,
-                    );
-                    t += out.dma_in / clk;
-                    tr.span(
-                        spe_track(s),
-                        format!("accel kernel [{lo}..{hi})"),
-                        "compute",
-                        t,
-                        out.stats.cycles / clk,
-                    );
-                    t += out.stats.cycles / clk;
-                    tr.span(spe_track(s), "mailbox done", "mailbox", t, mbox / clk);
-                    t += mbox / clk;
-                    tr.span(
-                        spe_track(s),
-                        "DMA put accelerations",
-                        "dma",
-                        t,
-                        out.dma_out / clk,
-                    );
-                }
-                max_spe_cycles = max_spe_cycles.max(spe_cycles);
-                max_spe_dma = max_spe_dma.max(out.dma_in + out.dma_out);
-                stats_total.pairs_tested += out.stats.pairs_tested;
-                stats_total.interactions += out.stats.interactions;
-                pe_total += out.pe_slice;
-                if let (Some(p), Some(h)) = (perf.as_deref_mut(), handles.as_ref()) {
-                    p.add_u64(h.spe_dma_bytes[s], ((n + hi - lo) * 16) as u64);
-                    p.add(h.spe_dma_stall[s], out.dma_in + out.dma_out);
-                    p.add_u64(h.dma_bytes_in, (n * 16) as u64);
-                    p.add_u64(h.dma_bytes_out, ((hi - lo) * 16) as u64);
-                }
-            }
-            breakdown.compute += max_spe_cycles;
-            breakdown.dma += max_spe_dma;
-            t_now += (max_spe_cycles + max_spe_dma) / clk;
-
-            // Read accelerations back into the host-side system.
-            for i in 0..n {
-                let q = read_quad(&main_memory, n + i);
-                sys.accelerations[i] = vecmath::Vec3::new(q[0], q[1], q[2]);
-            }
-
-            if eval > 0 {
-                breakdown.ppe += ppe.integration_cycles(n);
-                let dur = ppe.integration_cycles(n) / clk;
-                if let Some(tr) = tracer.as_deref_mut() {
-                    tr.span(ppe_track, "integrate: kick", "ppe", t_now, dur);
-                }
-                t_now += dur;
-                vv.kick(sys);
-                params.sub.apply_thermostat(sys);
-                breakdown.ppe += ens_cycles;
-                t_now += ens_cycles / clk;
-            }
-
-            if let (Some(p), Some(h)) = (perf.as_deref_mut(), handles.as_ref()) {
-                let flops = stats_total.pairs_tested as f64 * FLOPS_PER_PAIR
-                    + stats_total.interactions as f64 * FLOPS_PER_INTERACTION;
-                let simd = simd_fraction(run.variant) * flops;
-                p.record_total(h.simd_flops, simd);
-                p.record_total(h.scalar_flops, flops - simd);
-                p.record_total(h.pairs, stats_total.pairs_tested as f64);
-                p.record_total(h.interactions, stats_total.interactions as f64);
-                p.record_total(h.dma_stall_cycles, breakdown.dma);
-                p.record_total(h.mailbox_round_trips, mailbox_round_trips as f64);
-                p.sample_all(breakdown.total() / clk);
-            }
-        }
-
-        // Surface any detected races on the timeline as instant markers.
-        #[cfg(feature = "hazard-check")]
-        if let Some(tr) = tracer {
-            for (s, hz) in hazard.iter().enumerate() {
-                hz.emit_to_tracer(tr, spe_track(s), t_now);
-            }
-        }
-
-        stats_total.cycles = breakdown.compute;
-        let pe = (pe_total * 0.5) as f64;
-        Ok(CellRun {
-            sim_seconds: breakdown.total() / self.config.clock_hz,
-            breakdown,
-            energies: EnergyReport::measure(sys, pe),
-            kernel_stats: stats_total,
-            config: run,
-            #[cfg(feature = "fault-inject")]
-            faults: fault.map_or_else(sim_fault::FaultStats::default, |f| f.stats()),
+        self.drive(sim, steps, self.driver, run, |sys, perf| {
+            Resident::new(self.config, run, sim, sys, Some(tracer), perf)
         })
     }
 
@@ -703,202 +208,18 @@ impl CellBeDevice {
     /// overlaps each tile's DMA with the previous tile's compute, so the
     /// critical path per tile is `max(compute, dma)`, not their sum.
     ///
-    /// Physics is identical to [`Self::run_md`]; use this when `run_md`
-    /// returns [`LsOverflow`]. Requires the fully optimized kernel variant.
+    /// Physics is identical to the resident port; use this when that one
+    /// overflows the local store. Requires the fully optimized kernel
+    /// variant.
     pub fn run_md_tiled(
         &self,
         sim: &SimConfig,
         steps: usize,
         run: CellRunConfig,
         tile_atoms: usize,
-    ) -> Result<CellRun, CellError> {
-        assert!(
-            run.n_spes >= 1 && run.n_spes <= self.config.n_spes,
-            "n_spes must be in 1..={}",
-            self.config.n_spes
-        );
-        assert!(tile_atoms >= 1, "tile must hold at least one atom");
-        let mut sys: ParticleSystem<f32> = init::initialize(sim);
-        let n = sys.n();
-        let vv = VelocityVerlet::new(sim.dt as f32);
-        let ppe = PpeModel::new(&self.config);
-        let dma = DmaEngine::new(&self.config);
-        let params = Self::lane_physics(sim, &sys);
-        let ens_cycles = n as f64 * params.sub.extra_step_ops_per_atom();
-
-        let mut main_memory = vec![0u8; 2 * n * 16];
-        let mut spes: Vec<Spe> = (0..run.n_spes)
-            .map(|id| Spe::new(id, &self.config))
-            .collect();
-        let slices: Vec<(usize, usize)> = partition(n, run.n_spes);
-
-        // Local-store layout per SPE: own positions + own accelerations +
-        // two j-tile buffers.
-        struct TiledRegions {
-            pos_i: LsRegion,
-            acc: LsRegion,
-            tiles: [LsRegion; 2],
-        }
-        let mut regions: Vec<TiledRegions> = Vec::with_capacity(run.n_spes);
-        for (s, spe) in spes.iter_mut().enumerate() {
-            let (lo, hi) = slices[s];
-            regions.push(TiledRegions {
-                pos_i: spe.alloc_quads(hi - lo)?,
-                acc: spe.alloc_quads(hi - lo)?,
-                tiles: [spe.alloc_quads(tile_atoms)?, spe.alloc_quads(tile_atoms)?],
-            });
-        }
-
-        let mut breakdown = CostBreakdown::default();
-        let mut stats_total = KernelStats::default();
-        let mut launched = false;
-        let mut pe_total = 0.0f32;
-
-        for eval in 0..=steps {
-            if eval > 0 {
-                breakdown.ppe += ppe.integration_cycles(n);
-                vv.kick_drift(&mut sys);
-            }
-            match run.policy {
-                SpawnPolicy::RespawnEveryStep => {
-                    for spe in &mut spes {
-                        spe.start_thread();
-                    }
-                    breakdown.spawn += run.n_spes as f64 * self.config.spawn_cycles;
-                }
-                SpawnPolicy::LaunchOnce => {
-                    if !launched {
-                        for spe in &mut spes {
-                            spe.start_thread();
-                        }
-                        breakdown.spawn += run.n_spes as f64 * self.config.spawn_cycles;
-                        launched = true;
-                    } else {
-                        for spe in &mut spes {
-                            spe.inbox.write(eval as u32);
-                        }
-                        breakdown.mailbox += run.n_spes as f64 * self.config.ppe_service_cycles;
-                    }
-                }
-            }
-
-            for (i, p) in sys.positions.iter().enumerate() {
-                write_quad(&mut main_memory, i, [p.x, p.y, p.z, 0.0]);
-            }
-
-            let mut max_spe_path = 0.0f64;
-            pe_total = 0.0;
-            for (s, spe) in spes.iter_mut().enumerate() {
-                if run.policy == SpawnPolicy::LaunchOnce && eval > 0 {
-                    let _ = spe.inbox.read();
-                    spe.charge(self.config.mailbox_cycles);
-                }
-                let r = &regions[s];
-                let (lo, hi) = slices[s];
-                let slice_len = hi - lo;
-
-                // Own positions in; accumulator zeroed.
-                let dma_i = dma.get(
-                    &main_memory,
-                    &mut spe.local_store,
-                    r.pos_i,
-                    lo * 16,
-                    slice_len * 16,
-                )?;
-                for ii in 0..slice_len {
-                    spe.local_store.store_quad(r.acc, ii, [0.0; 4]);
-                }
-                let zero_cycles = slice_len as f64;
-
-                // Stream j tiles with double buffering: DMA of tile t+1
-                // overlaps compute of tile t, so the path is
-                // dma(0) + Σ max(compute(t), dma(t+1)) + compute(last).
-                let n_tiles = n.div_ceil(tile_atoms);
-                let mut compute_cycles: Vec<f64> = Vec::with_capacity(n_tiles);
-                let mut dma_cycles: Vec<f64> = Vec::with_capacity(n_tiles);
-                for t in 0..n_tiles {
-                    let j_lo = t * tile_atoms;
-                    let j_hi = (j_lo + tile_atoms).min(n);
-                    let count = j_hi - j_lo;
-                    let buf = r.tiles[t % 2];
-                    let d = dma.get(
-                        &main_memory,
-                        &mut spe.local_store,
-                        buf,
-                        j_lo * 16,
-                        count * 16,
-                    )?;
-                    let (_, stats) = crate::kernel::compute_accelerations_tiled(
-                        &mut spe.local_store,
-                        r.pos_i,
-                        lo,
-                        slice_len,
-                        buf,
-                        j_lo,
-                        count,
-                        r.acc,
-                        params,
-                        run.variant,
-                        &self.config.costs,
-                    );
-                    dma_cycles.push(d);
-                    compute_cycles.push(stats.cycles);
-                    stats_total.pairs_tested += stats.pairs_tested;
-                    stats_total.interactions += stats.interactions;
-                }
-                let mut path = dma_i + zero_cycles + dma_cycles[0];
-                for t in 0..n_tiles {
-                    let next_dma = if t + 1 < n_tiles {
-                        dma_cycles[t + 1]
-                    } else {
-                        0.0
-                    };
-                    path += compute_cycles[t].max(next_dma);
-                }
-
-                // Results out; PE slice read from the accumulator lanes.
-                let mut pe_slice = 0.0f32;
-                for ii in 0..slice_len {
-                    let q = spe.local_store.load_quad(r.acc, ii);
-                    write_quad(&mut main_memory, n + lo + ii, q);
-                    pe_slice += q[3];
-                }
-                let dma_out = dma.transfer_cycles(slice_len * 16);
-                spe.outbox.write(1);
-                let _ = spe.outbox.read();
-                path += dma_out + self.config.mailbox_cycles;
-
-                spe.charge(path);
-                max_spe_path = max_spe_path.max(path);
-                pe_total += pe_slice;
-                if run.policy == SpawnPolicy::RespawnEveryStep {
-                    spe.stop_thread();
-                }
-            }
-            breakdown.compute += max_spe_path;
-
-            for i in 0..n {
-                let q = read_quad(&main_memory, n + i);
-                sys.accelerations[i] = vecmath::Vec3::new(q[0], q[1], q[2]);
-            }
-
-            if eval > 0 {
-                breakdown.ppe += ppe.integration_cycles(n);
-                vv.kick(&mut sys);
-                params.sub.apply_thermostat(&mut sys);
-                breakdown.ppe += ens_cycles;
-            }
-        }
-
-        stats_total.cycles = breakdown.compute;
-        Ok(CellRun {
-            sim_seconds: breakdown.total() / self.config.clock_hz,
-            breakdown,
-            energies: EnergyReport::measure(&sys, (pe_total * 0.5) as f64),
-            kernel_stats: stats_total,
-            config: run,
-            #[cfg(feature = "fault-inject")]
-            faults: sim_fault::FaultStats::default(),
+    ) -> Result<CellRun, DeviceError> {
+        self.drive(sim, steps, self.fault_free(), run, |sys, _| {
+            Tiled::new(self.config, run, tile_atoms, sim, sys)
         })
     }
 
@@ -914,233 +235,19 @@ impl CellBeDevice {
         sim: &SimConfig,
         steps: usize,
         run: CellRunConfig,
-    ) -> Result<CellRun, CellError> {
-        assert!(
-            run.n_spes >= 1 && run.n_spes <= self.config.n_spes,
-            "n_spes must be in 1..={}",
-            self.config.n_spes
-        );
-        let mut sys: ParticleSystem<f64> = init::initialize(sim);
-        let n = sys.n();
-        let vv = VelocityVerlet::new(sim.dt);
-        let ppe = PpeModel::new(&self.config);
-        let dma = DmaEngine::new(&self.config);
-        let params = crate::kernel::SpeLanePhysicsF64 {
-            sub: sim.substrate::<f64>(),
-            box_len: sys.box_len,
-            inv_mass: 1.0 / sys.mass,
-        };
-        let ens_cycles = n as f64 * params.sub.extra_step_ops_per_atom();
-
-        // Two quadwords per atom per array.
-        let mut main_memory = vec![0u8; 4 * n * 16];
-        let mut spes: Vec<Spe> = (0..run.n_spes)
-            .map(|id| Spe::new(id, &self.config))
-            .collect();
-        let mut regions: Vec<(LsRegion, LsRegion)> = Vec::with_capacity(run.n_spes);
-        for spe in &mut spes {
-            let pos = spe.alloc_quads(2 * n)?;
-            let acc = spe.alloc_quads(2 * n)?;
-            regions.push((pos, acc));
-        }
-        let slices: Vec<(usize, usize)> = partition(n, run.n_spes);
-
-        let mut breakdown = CostBreakdown::default();
-        let mut stats_total = KernelStats::default();
-        let mut launched = false;
-        let mut pe_total = 0.0f64;
-
-        for eval in 0..=steps {
-            if eval > 0 {
-                breakdown.ppe += ppe.integration_cycles(n);
-                vv.kick_drift(&mut sys);
-            }
-            match run.policy {
-                SpawnPolicy::RespawnEveryStep => {
-                    for spe in &mut spes {
-                        spe.start_thread();
-                    }
-                    breakdown.spawn += run.n_spes as f64 * self.config.spawn_cycles;
-                }
-                SpawnPolicy::LaunchOnce => {
-                    if !launched {
-                        for spe in &mut spes {
-                            spe.start_thread();
-                        }
-                        breakdown.spawn += run.n_spes as f64 * self.config.spawn_cycles;
-                        launched = true;
-                    } else {
-                        for spe in &mut spes {
-                            spe.inbox.write(eval as u32);
-                        }
-                        breakdown.mailbox += run.n_spes as f64 * self.config.ppe_service_cycles;
-                    }
-                }
-            }
-
-            for (i, p) in sys.positions.iter().enumerate() {
-                write_dquad(&mut main_memory, 2 * i, [p.x, p.y]);
-                write_dquad(&mut main_memory, 2 * i + 1, [p.z, 0.0]);
-            }
-
-            let mut max_spe_cycles = 0.0f64;
-            let mut max_spe_dma = 0.0f64;
-            pe_total = 0.0;
-            for (s, spe) in spes.iter_mut().enumerate() {
-                if run.policy == SpawnPolicy::LaunchOnce && eval > 0 {
-                    let _ = spe.inbox.read();
-                    spe.charge(self.config.mailbox_cycles);
-                }
-                let (pos_r, acc_r) = regions[s];
-                let (lo, hi) = slices[s];
-                let dma_in = dma.get(&main_memory, &mut spe.local_store, pos_r, 0, 2 * n * 16)?;
-                let (pe_slice, stats) = crate::kernel::compute_accelerations_f64(
-                    &mut spe.local_store,
-                    pos_r,
-                    acc_r,
-                    lo..hi,
-                    n,
-                    params,
-                    &self.config.costs,
-                );
-                let slice_view = LsRegion {
-                    offset: acc_r.offset + 2 * lo * 16,
-                    len: 2 * (hi - lo) * 16,
-                };
-                let dma_out = dma.put(
-                    &spe.local_store,
-                    &mut main_memory,
-                    slice_view,
-                    (2 * n + 2 * lo) * 16,
-                    2 * (hi - lo) * 16,
-                )?;
-                spe.outbox.write(1);
-                let _ = spe.outbox.read();
-                let spe_cycles = stats.cycles + self.config.mailbox_cycles;
-                spe.charge(dma_in + spe_cycles + dma_out);
-                max_spe_cycles = max_spe_cycles.max(spe_cycles);
-                max_spe_dma = max_spe_dma.max(dma_in + dma_out);
-                stats_total.pairs_tested += stats.pairs_tested;
-                stats_total.interactions += stats.interactions;
-                pe_total += pe_slice;
-                if run.policy == SpawnPolicy::RespawnEveryStep {
-                    spe.stop_thread();
-                }
-            }
-            breakdown.compute += max_spe_cycles;
-            breakdown.dma += max_spe_dma;
-
-            for i in 0..n {
-                let [ax, ay] = read_dquad(&main_memory, 2 * n + 2 * i);
-                let [az, _] = read_dquad(&main_memory, 2 * n + 2 * i + 1);
-                sys.accelerations[i] = vecmath::Vec3::new(ax, ay, az);
-            }
-
-            if eval > 0 {
-                breakdown.ppe += ppe.integration_cycles(n);
-                vv.kick(&mut sys);
-                params.sub.apply_thermostat(&mut sys);
-                breakdown.ppe += ens_cycles;
-            }
-        }
-
-        stats_total.cycles = breakdown.compute;
-        Ok(CellRun {
-            sim_seconds: breakdown.total() / self.config.clock_hz,
-            breakdown,
-            energies: EnergyReport::measure(&sys, pe_total * 0.5),
-            kernel_stats: stats_total,
-            config: run,
-            #[cfg(feature = "fault-inject")]
-            faults: sim_fault::FaultStats::default(),
+    ) -> Result<CellRun, DeviceError> {
+        self.drive(sim, steps, self.fault_free(), run, |sys, _| {
+            Double::new(self.config, run, sim, sys)
         })
     }
 
     /// PPE-only execution of the whole kernel (the paper's 26x-slower
     /// baseline): the scalar `Original` variant run on the PPE with its CPI
     /// penalty; no SPEs, no DMA, no thread launches.
-    pub fn run_md_ppe_only(&self, sim: &SimConfig, steps: usize) -> CellRun {
-        let mut sys: ParticleSystem<f32> = init::initialize(sim);
-        self.run_md_ppe_only_impl(&mut sys, sim, steps)
-    }
-
-    fn run_md_ppe_only_impl(
-        &self,
-        sys: &mut ParticleSystem<f32>,
-        sim: &SimConfig,
-        steps: usize,
-    ) -> CellRun {
-        let n = sys.n();
-        let vv = VelocityVerlet::new(sim.dt as f32);
-        let ppe = PpeModel::new(&self.config);
-        let params = Self::lane_physics(sim, sys);
-        let ens_cycles = n as f64 * params.sub.extra_step_ops_per_atom();
-
-        // The PPE works straight out of main memory; reuse the kernel with a
-        // scratch "store" big enough for both arrays. The layout is fixed, so
-        // the regions are constructed directly — nothing can fail here.
-        let mut scratch = LocalStore::new(2 * n * 16);
-        let pos_r = LsRegion {
-            offset: 0,
-            len: n * 16,
-        };
-        let acc_r = LsRegion {
-            offset: n * 16,
-            len: n * 16,
-        };
-
-        let mut breakdown = CostBreakdown::default();
-        let mut stats_total = KernelStats::default();
-        let mut pe_total = 0.0f32;
-
-        for eval in 0..=steps {
-            if eval > 0 {
-                breakdown.ppe += ppe.integration_cycles(n);
-                vv.kick_drift(sys);
-            }
-            for (i, p) in sys.positions.iter().enumerate() {
-                scratch.store_quad(pos_r, i, [p.x, p.y, p.z, 0.0]);
-            }
-            let (pe, stats) = compute_accelerations(
-                &mut scratch,
-                pos_r,
-                acc_r,
-                0..n,
-                n,
-                params,
-                SpeKernelVariant::Original,
-                &self.config.costs,
-            );
-            breakdown.compute += ppe.scale_kernel_cycles(stats.cycles);
-            stats_total.pairs_tested += stats.pairs_tested;
-            stats_total.interactions += stats.interactions;
-            pe_total = pe;
-            for i in 0..n {
-                let q = scratch.load_quad(acc_r, i);
-                sys.accelerations[i] = vecmath::Vec3::new(q[0], q[1], q[2]);
-            }
-            if eval > 0 {
-                breakdown.ppe += ppe.integration_cycles(n);
-                vv.kick(sys);
-                params.sub.apply_thermostat(sys);
-                breakdown.ppe += ens_cycles;
-            }
-        }
-
-        stats_total.cycles = breakdown.compute;
-        CellRun {
-            sim_seconds: breakdown.total() / self.config.clock_hz,
-            breakdown,
-            energies: EnergyReport::measure(sys, (pe_total * 0.5) as f64),
-            kernel_stats: stats_total,
-            config: CellRunConfig {
-                n_spes: 0,
-                policy: SpawnPolicy::LaunchOnce,
-                variant: SpeKernelVariant::Original,
-            },
-            #[cfg(feature = "fault-inject")]
-            faults: sim_fault::FaultStats::default(),
-        }
+    pub fn run_md_ppe_only(&self, sim: &SimConfig, steps: usize) -> Result<CellRun, DeviceError> {
+        self.drive(sim, steps, self.fault_free(), PPE_ONLY, |sys, _| {
+            Ok(PpeOnly::new(self.config, sim, sys))
+        })
     }
 
     /// Figure 5 measurement: simulated seconds for ONE acceleration-function
@@ -1155,7 +262,7 @@ impl CellBeDevice {
         let sys: ParticleSystem<f32> = init::initialize(sim);
         let n = sys.n();
         let dma = DmaEngine::new(&self.config);
-        let params = Self::lane_physics(sim, &sys);
+        let params = lane_physics(sim, &sys);
 
         let mut spe = Spe::new(0, &self.config);
         let pos_r = spe.alloc_quads(n)?;
@@ -1180,6 +287,973 @@ impl CellBeDevice {
     }
 }
 
+/// The run configuration the PPE-only baseline reports.
+const PPE_ONLY: CellRunConfig = CellRunConfig {
+    n_spes: 0,
+    policy: SpawnPolicy::LaunchOnce,
+    variant: SpeKernelVariant::Original,
+};
+
+const PPE_TRACK: mdea_trace::TraceTrack = mdea_trace::TraceTrack(0);
+
+fn spe_track(s: usize) -> mdea_trace::TraceTrack {
+    mdea_trace::TraceTrack(1 + s as u32)
+}
+
+fn lane_physics(sim: &SimConfig, sys: &ParticleSystem<f32>) -> SpeLanePhysics {
+    SpeLanePhysics {
+        sub: sim.substrate::<f32>(),
+        box_len: sys.box_len,
+        inv_mass: 1.0 / sys.mass,
+    }
+}
+
+fn check_spes(run: CellRunConfig, config: &CellConfig) -> Result<(), DeviceError> {
+    if (1..=config.n_spes).contains(&run.n_spes) {
+        Ok(())
+    } else {
+        Err(DeviceError::Unsupported(format!(
+            "n_spes must be in 1..={}, got {}",
+            config.n_spes, run.n_spes
+        )))
+    }
+}
+
+/// The typed error for a fault site that exhausted its retry budget.
+fn exhausted(site: FaultSite) -> CellError {
+    CellError::FaultExhausted {
+        kind: site.kind,
+        eval: site.eval,
+        unit: site.unit,
+    }
+}
+
+impl From<CellError> for DeviceError {
+    fn from(e: CellError) -> Self {
+        DeviceError::Failed(e.to_string())
+    }
+}
+
+/// The PPE side every Cell path shares: integration passes, SPE thread
+/// management, the run's cycle breakdown and kernel totals, and the cursor
+/// of the optional execution timeline.
+struct Timeline<'t> {
+    config: CellConfig,
+    ppe: PpeModel,
+    n: usize,
+    /// Ensemble upkeep (thermostat) runs on the PPE after the final kick;
+    /// zero cycles under NVE, so the seed cost model is untouched.
+    ens_cycles: f64,
+    breakdown: CostBreakdown,
+    stats: KernelStats,
+    launched: bool,
+    t_now: f64,
+    tracer: Option<&'t mut mdea_trace::Tracer>,
+    /// Under hazard-check, one race detector per local store shadows every
+    /// DMA command, tag wait, compute access, and blocking mailbox op.
+    #[cfg(feature = "hazard-check")]
+    hazard: Vec<HazardChecker>,
+}
+
+/// Every Cell cost model exposes its shared PPE side.
+trait CellPath {
+    fn timeline(&self) -> &Timeline<'_>;
+}
+
+impl<'t> Timeline<'t> {
+    fn new(
+        config: CellConfig,
+        n: usize,
+        sim: &SimConfig,
+        tracer: Option<&'t mut mdea_trace::Tracer>,
+    ) -> Self {
+        Self {
+            config,
+            ppe: PpeModel::new(&config),
+            n,
+            ens_cycles: n as f64 * sim.substrate::<f32>().extra_step_ops_per_atom(),
+            breakdown: CostBreakdown::default(),
+            stats: KernelStats::default(),
+            launched: false,
+            t_now: 0.0,
+            tracer,
+            #[cfg(feature = "hazard-check")]
+            hazard: Vec::new(),
+        }
+    }
+
+    fn clk(&self) -> f64 {
+        self.config.clock_hz
+    }
+
+    /// Record a span on `track` starting now (no-op without a tracer).
+    fn span(&mut self, track: mdea_trace::TraceTrack, name: &str, cat: &'static str, dur: f64) {
+        if let Some(tr) = self.tracer.as_deref_mut() {
+            tr.span(track, name, cat, self.t_now, dur);
+        }
+    }
+
+    fn charge_drift(&mut self) {
+        let cycles = self.ppe.integration_cycles(self.n);
+        self.breakdown.ppe += cycles;
+        let dur = cycles / self.clk();
+        self.span(PPE_TRACK, "integrate: kick+drift", "ppe", dur);
+        self.t_now += dur;
+    }
+
+    fn charge_kick(&mut self) {
+        let cycles = self.ppe.integration_cycles(self.n);
+        self.breakdown.ppe += cycles;
+        let dur = cycles / self.clk();
+        self.span(PPE_TRACK, "integrate: kick", "ppe", dur);
+        self.t_now += dur;
+        self.breakdown.ppe += self.ens_cycles;
+        self.t_now += self.ens_cycles / self.clk();
+    }
+
+    /// Thread management per Figure 6: spawn every SPE thread (each eval
+    /// under `RespawnEveryStep`, once under `LaunchOnce`), or signal the
+    /// running threads through their mailboxes that there is more data.
+    fn launch(
+        &mut self,
+        spes: &mut [Spe],
+        policy: SpawnPolicy,
+        eval: u64,
+        faults: &mut Faults,
+    ) -> Result<(), CellError> {
+        let clk = self.clk();
+        let n_spes = spes.len() as f64;
+        if policy == SpawnPolicy::RespawnEveryStep || !self.launched {
+            let spawn = self.config.spawn_cycles;
+            for (s, spe) in spes.iter_mut().enumerate() {
+                // A failed spe_create_thread is repeated at full launch cost.
+                let site = FaultSite::new(FaultKind::SpeLaunch, eval, s as u32, 0);
+                let extra = faults.fail_fast(site, spawn, clk).map_err(exhausted)?;
+                if extra > 0.0 {
+                    if let Some(tr) = self.tracer.as_deref_mut() {
+                        let name = format!("fault: spe-launch retry (SPE {s})");
+                        tr.instant(PPE_TRACK, name, "fault", self.t_now);
+                    }
+                    self.breakdown.spawn += extra;
+                    self.t_now += extra / clk;
+                }
+                spe.start_thread();
+                if let Some(tr) = self.tracer.as_deref_mut() {
+                    let name = format!("spawn SPE {s} thread");
+                    tr.span(PPE_TRACK, name, "spawn", self.t_now, spawn / clk);
+                }
+                self.t_now += spawn / clk;
+            }
+            self.breakdown.spawn += n_spes * spawn;
+            self.launched = true;
+            return Ok(());
+        }
+        // "Signal them using mailboxes when there is more data to process."
+        let service = self.config.ppe_service_cycles;
+        for (s, spe) in spes.iter_mut().enumerate() {
+            // A dropped mailbox message costs a fresh PPE service round plus
+            // the SPE-side read.
+            let site = FaultSite::new(FaultKind::MailboxDrop, eval, s as u32, 0);
+            let unit = service + self.config.mailbox_cycles;
+            let extra = faults.fail_fast(site, unit, clk).map_err(exhausted)?;
+            if extra > 0.0 {
+                if let Some(tr) = self.tracer.as_deref_mut() {
+                    let name = format!("fault: mailbox-drop resend (SPE {s})");
+                    tr.instant(PPE_TRACK, name, "fault", self.t_now);
+                }
+                self.breakdown.mailbox += extra;
+                self.t_now += extra / clk;
+            }
+            #[cfg(feature = "hazard-check")]
+            if let Some(hz) = self.hazard.get_mut(s) {
+                hz.note_mailbox_write(s, spe.inbox.is_full());
+            }
+            spe.inbox.write(eval as u32);
+        }
+        let dur = n_spes * service / clk;
+        self.span(PPE_TRACK, "mailbox handshake", "mailbox", dur);
+        self.t_now += dur;
+        self.breakdown.mailbox += n_spes * service;
+        Ok(())
+    }
+
+    fn sim_seconds(&self) -> f64 {
+        self.breakdown.total() / self.clk()
+    }
+
+    /// The attribution every Cell path reports, plus `derived` and the
+    /// path's work totals.
+    fn report(&mut self, derived: Vec<(&'static str, f64)>, ops: f64, bytes: f64) -> CostReport {
+        // Surface any detected races on the timeline as instant markers.
+        #[cfg(feature = "hazard-check")]
+        if let Some(tr) = self.tracer.as_deref_mut() {
+            for (s, hz) in self.hazard.iter().enumerate() {
+                hz.emit_to_tracer(tr, spe_track(s), self.t_now);
+            }
+        }
+        let clk = self.clk();
+        let b = self.breakdown;
+        CostReport {
+            sim_seconds: self.sim_seconds(),
+            attribution: vec![
+                ("compute", b.compute / clk),
+                ("dma_wait", b.dma / clk),
+                ("mailbox", b.mailbox / clk),
+                ("spe_spawn", b.spawn / clk),
+                ("ppe_serial", b.ppe / clk),
+            ],
+            derived,
+            ops,
+            bytes_moved: bytes,
+        }
+    }
+
+    fn add_stats(&mut self, stats: &KernelStats) {
+        self.stats.pairs_tested += stats.pairs_tested;
+        self.stats.interactions += stats.interactions;
+    }
+}
+
+/// Bring up `run.n_spes` SPEs.
+fn spes(run: CellRunConfig, config: &CellConfig) -> Vec<Spe> {
+    (0..run.n_spes).map(|id| Spe::new(id, config)).collect()
+}
+
+/// The resident SPE-offload port (paper section 5.1): positions are DMA'd
+/// into each local store, each SPE computes accelerations for its slice by
+/// scanning all N positions, results are DMA'd back, the PPE integrates.
+pub struct Resident<'t> {
+    tl: Timeline<'t>,
+    run: CellRunConfig,
+    dma: DmaEngine,
+    params: SpeLanePhysics,
+    /// Main memory image: positions then accelerations, quadword layout.
+    main_memory: Vec<u8>,
+    spes: Vec<Spe>,
+    regions: Vec<(LsRegion, LsRegion)>,
+    slices: Vec<(usize, usize)>,
+    handles: PerfHandles,
+    /// Running counter totals, mirrored into the monitor at each sample.
+    spe_dma_bytes: Vec<f64>,
+    spe_dma_stall: Vec<f64>,
+    dma_bytes_in: f64,
+    dma_bytes_out: f64,
+    mailbox_round_trips: u64,
+}
+
+impl<'t> Resident<'t> {
+    fn new(
+        config: CellConfig,
+        run: CellRunConfig,
+        sim: &SimConfig,
+        sys: &ParticleSystem<f32>,
+        tracer: Option<&'t mut mdea_trace::Tracer>,
+        perf: &mut PerfMonitor,
+    ) -> Result<Self, DeviceError> {
+        check_spes(run, &config)?;
+        let n = sys.n();
+        let mut spes = spes(run, &config);
+        let mut regions = Vec::with_capacity(run.n_spes);
+        for spe in &mut spes {
+            let pos = spe.alloc_quads(n).map_err(CellError::from)?;
+            let acc = spe.alloc_quads(n).map_err(CellError::from)?;
+            regions.push((pos, acc));
+        }
+        #[allow(unused_mut)] // hazard checkers are added only under hazard-check
+        let mut tl = Timeline::new(config, n, sim, tracer);
+        #[cfg(feature = "hazard-check")]
+        {
+            tl.hazard = (0..run.n_spes).map(|_| HazardChecker::new()).collect();
+        }
+        Ok(Self {
+            tl,
+            run,
+            dma: DmaEngine::new(&config),
+            params: lane_physics(sim, sys),
+            main_memory: vec![0u8; 2 * n * 16],
+            spes,
+            regions,
+            slices: partition(n, run.n_spes),
+            handles: PerfHandles::register(perf, run.n_spes),
+            spe_dma_bytes: vec![0.0; run.n_spes],
+            spe_dma_stall: vec![0.0; run.n_spes],
+            dma_bytes_in: 0.0,
+            dma_bytes_out: 0.0,
+            mailbox_round_trips: 0,
+        })
+    }
+
+    fn eval(&mut self, e: Eval<'_, f32>) -> Result<f64, CellError> {
+        let n = self.tl.n;
+        let eval = e.index;
+        let run = self.run;
+        self.tl.launch(&mut self.spes, run.policy, eval, e.faults)?;
+
+        // Serialize current positions into main memory.
+        for (i, p) in e.positions.iter().enumerate() {
+            write_quad(&mut self.main_memory, i, [p.x, p.y, p.z, 0.0]);
+        }
+
+        // Each SPE: DMA in all positions, compute its slice, DMA out. SPEs
+        // run concurrently; the step's wall time is the slowest SPE.
+        //
+        // The simulated concurrency maps onto host threads: the main memory
+        // image splits into the shared position half (read by every SPE's
+        // get) and per-SPE acceleration windows (each SPE puts only its own
+        // slice), so each lane owns disjoint state. Fault sites are peeked
+        // in-lane (pure) and committed below in SPE order; every reduction —
+        // cost maxima, kernel stats, PE, perf counters, tracer spans —
+        // happens in the serial fold, so the run is bitwise identical to the
+        // serial loop at any host thread count.
+        let (pos_mem, acc_mem) = self.main_memory.split_at_mut(n * 16);
+        let pos_mem: &[u8] = pos_mem;
+        let mut lanes: Vec<SpeLane> = Vec::with_capacity(run.n_spes);
+        {
+            let mut acc_rest: &mut [u8] = acc_mem;
+            #[cfg(feature = "hazard-check")]
+            let mut hz_iter = self.tl.hazard.iter_mut();
+            for (s, spe) in self.spes.iter_mut().enumerate() {
+                let (lo, hi) = self.slices[s];
+                let (window, rest) = std::mem::take(&mut acc_rest).split_at_mut((hi - lo) * 16);
+                acc_rest = rest;
+                lanes.push(SpeLane {
+                    spe,
+                    acc_out: window,
+                    // `hazard` holds exactly one checker per SPE; the
+                    // iterator cannot run dry.
+                    #[cfg(feature = "hazard-check")]
+                    hazard: hz_iter.next().expect("one checker per SPE"), // sim-vet: allow(panic-discipline)
+                });
+            }
+        }
+        let (config, dma, params) = (&self.tl.config, &self.dma, self.params);
+        let (regions, slices) = (&self.regions, &self.slices);
+        let faults: &Faults = e.faults;
+        let shared = e.shared_eval && run.variant == SpeKernelVariant::SimdAcceleration;
+        let lane_outs = md_core::parallel::map_lanes(
+            e.par,
+            &mut lanes,
+            |s, lane: &mut SpeLane| -> Result<SpeLaneOut, CellError> {
+                let spe = &mut *lane.spe;
+                let mut round_trips = 0u64;
+                if run.policy == SpawnPolicy::LaunchOnce && eval > 0 {
+                    #[cfg(feature = "hazard-check")]
+                    lane.hazard.note_mailbox_read(s, spe.inbox.is_empty());
+                    let _go = spe.inbox.read();
+                    spe.charge(config.mailbox_cycles);
+                    round_trips += 1;
+                }
+                let (pos_r, acc_r) = regions[s];
+                let (lo, hi) = slices[s];
+
+                #[cfg(feature = "hazard-check")]
+                lane.hazard.dma_issue(0, Dir::Get, pos_r);
+                let dma_in = dma.get(pos_mem, &mut spe.local_store, pos_r, 0, n * 16)?;
+                // The functional transfer above always lands pristine data;
+                // injected failures only re-model the transfer's cost, so
+                // physics is untouched by construction. Failed transfer →
+                // full re-issue of the get; tag-group wait spins out → spin
+                // window plus a fresh issue-and-wait (two transfers' worth).
+                let site_get = FaultSite::new(FaultKind::DmaTransfer, eval, s as u32, 0);
+                let site_tag = FaultSite::new(FaultKind::TagWaitTimeout, eval, s as u32, 0);
+                let out_get = faults.peek(site_get);
+                let out_tag = faults.peek(site_tag);
+                let fault_get = (site_get, out_get, dma_in);
+                let fault_tag = (site_tag, out_tag, 2.0 * dma_in);
+                let dma_in = dma_in + recovery(out_get, dma_in) + recovery(out_tag, 2.0 * dma_in);
+                #[cfg(feature = "hazard-check")]
+                {
+                    // The functional engine transfers synchronously; the
+                    // modeled hardware pattern is issue → tag wait → compute.
+                    lane.hazard.tag_wait(0);
+                    lane.hazard.compute_read(pos_r);
+                    lane.hazard.compute_write(acc_r);
+                }
+                // Physics-once split (DESIGN.md §17): under the shared-eval
+                // switch the slice's physics comes from the shared batched
+                // kernel and the cycle charge is the closed-form replay —
+                // both bitwise the interpretive loop's results.
+                let (pe_slice, stats) = if shared {
+                    crate::kernel::compute_accelerations_shared(
+                        &mut spe.local_store,
+                        pos_r,
+                        acc_r,
+                        lo..hi,
+                        n,
+                        params,
+                        &config.costs,
+                    )
+                } else {
+                    compute_accelerations(
+                        &mut spe.local_store,
+                        pos_r,
+                        acc_r,
+                        lo..hi,
+                        n,
+                        params,
+                        run.variant,
+                        &config.costs,
+                    )
+                };
+                // DMA the computed slice back (a sub-range of the acc region,
+                // landing in this SPE's window of the acceleration image).
+                let slice_view = LsRegion {
+                    offset: acc_r.offset + lo * 16,
+                    len: (hi - lo) * 16,
+                };
+                #[cfg(feature = "hazard-check")]
+                lane.hazard.dma_issue(1, Dir::Put, slice_view);
+                let dma_out = dma.put(
+                    &spe.local_store,
+                    lane.acc_out,
+                    slice_view,
+                    0,
+                    (hi - lo) * 16,
+                )?;
+                let site_put = FaultSite::new(FaultKind::DmaTransfer, eval, s as u32, 1);
+                let out_put = faults.peek(site_put);
+                let fault_put = (site_put, out_put, dma_out);
+                let dma_out = dma_out + recovery(out_put, dma_out);
+                #[cfg(feature = "hazard-check")]
+                lane.hazard.tag_wait(1);
+                // Completion notification to the PPE.
+                #[cfg(feature = "hazard-check")]
+                lane.hazard.note_mailbox_write(s, spe.outbox.is_full());
+                spe.outbox.write(1);
+                #[cfg(feature = "hazard-check")]
+                lane.hazard.note_mailbox_read(s, spe.outbox.is_empty());
+                let _ = spe.outbox.read();
+                round_trips += 1;
+
+                spe.charge(dma_in + stats.cycles + config.mailbox_cycles + dma_out);
+                if run.policy == SpawnPolicy::RespawnEveryStep {
+                    spe.stop_thread();
+                }
+                Ok(SpeLaneOut {
+                    dma_in,
+                    dma_out,
+                    stats,
+                    pe_slice,
+                    round_trips,
+                    faults: [fault_get, fault_tag, fault_put],
+                })
+            },
+        );
+        drop(lanes);
+
+        // Serial fold in SPE order: fault ledger, reductions, timeline.
+        let clk = self.tl.clk();
+        let mbox = self.tl.config.mailbox_cycles;
+        let mut max_spe_cycles = 0.0f64;
+        let mut max_spe_dma = 0.0f64;
+        let mut pe_total = 0.0f32;
+        for (s, lane_out) in lane_outs.into_iter().enumerate() {
+            let out = lane_out?;
+            let t_now = self.tl.t_now;
+            let mut commit = |(site, out, unit): (FaultSite, SiteOutcome, f64)| {
+                e.faults.commit(site, out, unit, clk).map_err(exhausted)
+            };
+            let [g, t, p] = out.faults;
+            let reissue = commit(g)?;
+            let spin = commit(t)?;
+            if reissue + spin > 0.0 {
+                if let Some(tr) = self.tl.tracer.as_deref_mut() {
+                    tr.instant(spe_track(s), "fault: dma get retried", "fault", t_now);
+                }
+            }
+            if commit(p)? > 0.0 {
+                if let Some(tr) = self.tl.tracer.as_deref_mut() {
+                    tr.instant(spe_track(s), "fault: dma put retried", "fault", t_now);
+                }
+            }
+            let (lo, hi) = self.slices[s];
+            let spe_cycles = out.stats.cycles + mbox;
+            self.mailbox_round_trips += out.round_trips;
+            if let Some(tr) = self.tl.tracer.as_deref_mut() {
+                // The SPEs run concurrently: each track starts at the same
+                // phase-begin time.
+                let mut t = t_now;
+                let track = spe_track(s);
+                tr.span(track, "DMA get positions", "dma", t, out.dma_in / clk);
+                t += out.dma_in / clk;
+                let kernel = format!("accel kernel [{lo}..{hi})");
+                tr.span(track, kernel, "compute", t, out.stats.cycles / clk);
+                t += out.stats.cycles / clk;
+                tr.span(track, "mailbox done", "mailbox", t, mbox / clk);
+                t += mbox / clk;
+                tr.span(track, "DMA put accelerations", "dma", t, out.dma_out / clk);
+            }
+            max_spe_cycles = max_spe_cycles.max(spe_cycles);
+            max_spe_dma = max_spe_dma.max(out.dma_in + out.dma_out);
+            self.tl.add_stats(&out.stats);
+            pe_total += out.pe_slice;
+            self.spe_dma_bytes[s] += ((n + hi - lo) * 16) as f64;
+            self.spe_dma_stall[s] += out.dma_in + out.dma_out;
+            self.dma_bytes_in += (n * 16) as f64;
+            self.dma_bytes_out += ((hi - lo) * 16) as f64;
+        }
+        self.tl.breakdown.compute += max_spe_cycles;
+        self.tl.breakdown.dma += max_spe_dma;
+        self.tl.t_now += (max_spe_cycles + max_spe_dma) / clk;
+
+        // Read accelerations back into the host-side system.
+        for (i, acc) in e.accelerations.iter_mut().enumerate() {
+            let q = read_quad(&self.main_memory, n + i);
+            *acc = vecmath::Vec3::new(q[0], q[1], q[2]);
+        }
+        Ok((pe_total * 0.5) as f64)
+    }
+}
+
+impl CellPath for Resident<'_> {
+    fn timeline(&self) -> &Timeline<'_> {
+        &self.tl
+    }
+}
+
+impl StepCost for Resident<'_> {
+    type Real = f32;
+
+    fn charge_drift(&mut self) {
+        self.tl.charge_drift();
+    }
+
+    fn evaluate(&mut self, e: Eval<'_, f32>) -> Result<f64, DeviceError> {
+        Ok(self.eval(e)?)
+    }
+
+    fn charge_kick(&mut self) {
+        self.tl.charge_kick();
+    }
+
+    fn sample(&mut self, p: &mut PerfMonitor) -> f64 {
+        let h = &self.handles;
+        for s in 0..self.spe_dma_bytes.len() {
+            p.record_total(h.spe_dma_bytes[s], self.spe_dma_bytes[s]);
+            p.record_total(h.spe_dma_stall[s], self.spe_dma_stall[s]);
+        }
+        p.record_total(h.dma_bytes_in, self.dma_bytes_in);
+        p.record_total(h.dma_bytes_out, self.dma_bytes_out);
+        let stats = &self.tl.stats;
+        let flops = stats.pairs_tested as f64 * FLOPS_PER_PAIR
+            + stats.interactions as f64 * FLOPS_PER_INTERACTION;
+        let simd = simd_fraction(self.run.variant) * flops;
+        p.record_total(h.simd_flops, simd);
+        p.record_total(h.scalar_flops, flops - simd);
+        p.record_total(h.pairs, stats.pairs_tested as f64);
+        p.record_total(h.interactions, stats.interactions as f64);
+        p.record_total(h.dma_stall_cycles, self.tl.breakdown.dma);
+        p.record_total(h.mailbox_round_trips, self.mailbox_round_trips as f64);
+        self.tl.sim_seconds()
+    }
+
+    fn finish(&mut self, perf: &PerfMonitor) -> CostReport {
+        let clk = self.tl.clk();
+        let sim_seconds = self.tl.sim_seconds();
+        let fraction = |cycles: f64| {
+            if sim_seconds == 0.0 {
+                0.0
+            } else {
+                (cycles / clk) / sim_seconds
+            }
+        };
+        let b = self.tl.breakdown;
+        let derived = vec![
+            ("dma_fraction", fraction(b.dma)),
+            ("launch_fraction", fraction(b.spawn)),
+        ];
+        let flops =
+            counter_total(perf, "cell.flops.simd") + counter_total(perf, "cell.flops.scalar");
+        let bytes =
+            counter_total(perf, "cell.dma.bytes_in") + counter_total(perf, "cell.dma.bytes_out");
+        self.tl.report(derived, flops, bytes)
+    }
+}
+
+/// Local-store layout per SPE in the tiled port: own positions + own
+/// accelerations + two j-tile buffers.
+struct TiledRegions {
+    pos_i: LsRegion,
+    acc: LsRegion,
+    tiles: [LsRegion; 2],
+}
+
+/// The tiled, double-buffered port ([`CellBeDevice::run_md_tiled`]).
+struct Tiled {
+    tl: Timeline<'static>,
+    run: CellRunConfig,
+    tile_atoms: usize,
+    dma: DmaEngine,
+    params: SpeLanePhysics,
+    main_memory: Vec<u8>,
+    spes: Vec<Spe>,
+    regions: Vec<TiledRegions>,
+    slices: Vec<(usize, usize)>,
+}
+
+impl Tiled {
+    fn new(
+        config: CellConfig,
+        run: CellRunConfig,
+        tile_atoms: usize,
+        sim: &SimConfig,
+        sys: &ParticleSystem<f32>,
+    ) -> Result<Self, DeviceError> {
+        check_spes(run, &config)?;
+        if tile_atoms == 0 {
+            return Err(DeviceError::Unsupported(
+                "tile must hold at least one atom".to_string(),
+            ));
+        }
+        let n = sys.n();
+        let mut spes = spes(run, &config);
+        let slices = partition(n, run.n_spes);
+        let mut regions = Vec::with_capacity(run.n_spes);
+        for (spe, &(lo, hi)) in spes.iter_mut().zip(&slices) {
+            let mut alloc = |quads| spe.alloc_quads(quads).map_err(CellError::from);
+            regions.push(TiledRegions {
+                pos_i: alloc(hi - lo)?,
+                acc: alloc(hi - lo)?,
+                tiles: [alloc(tile_atoms)?, alloc(tile_atoms)?],
+            });
+        }
+        Ok(Self {
+            tl: Timeline::new(config, n, sim, None),
+            run,
+            tile_atoms,
+            dma: DmaEngine::new(&config),
+            params: lane_physics(sim, sys),
+            main_memory: vec![0u8; 2 * n * 16],
+            spes,
+            regions,
+            slices,
+        })
+    }
+
+    fn eval(&mut self, e: Eval<'_, f32>) -> Result<f64, CellError> {
+        let n = self.tl.n;
+        let (run, dma, params, tile_atoms) = (self.run, self.dma, self.params, self.tile_atoms);
+        let config = self.tl.config;
+        self.tl
+            .launch(&mut self.spes, run.policy, e.index, e.faults)?;
+        for (i, p) in e.positions.iter().enumerate() {
+            write_quad(&mut self.main_memory, i, [p.x, p.y, p.z, 0.0]);
+        }
+
+        let mut max_spe_path = 0.0f64;
+        let mut pe_total = 0.0f32;
+        for (s, spe) in self.spes.iter_mut().enumerate() {
+            if run.policy == SpawnPolicy::LaunchOnce && e.index > 0 {
+                let _ = spe.inbox.read();
+                spe.charge(config.mailbox_cycles);
+            }
+            let r = &self.regions[s];
+            let (lo, hi) = self.slices[s];
+            let slice_len = hi - lo;
+
+            // Own positions in; accumulator zeroed.
+            let dma_i = dma.get(
+                &self.main_memory,
+                &mut spe.local_store,
+                r.pos_i,
+                lo * 16,
+                slice_len * 16,
+            )?;
+            for ii in 0..slice_len {
+                spe.local_store.store_quad(r.acc, ii, [0.0; 4]);
+            }
+            let zero_cycles = slice_len as f64;
+
+            // Stream j tiles with double buffering: DMA of tile t+1 overlaps
+            // compute of tile t, so the path is
+            // dma(0) + Σ max(compute(t), dma(t+1)) + compute(last).
+            let n_tiles = n.div_ceil(tile_atoms);
+            let mut compute_cycles: Vec<f64> = Vec::with_capacity(n_tiles);
+            let mut dma_cycles: Vec<f64> = Vec::with_capacity(n_tiles);
+            for t in 0..n_tiles {
+                let j_lo = t * tile_atoms;
+                let j_hi = (j_lo + tile_atoms).min(n);
+                let count = j_hi - j_lo;
+                let buf = r.tiles[t % 2];
+                let d = dma.get(
+                    &self.main_memory,
+                    &mut spe.local_store,
+                    buf,
+                    j_lo * 16,
+                    count * 16,
+                )?;
+                let (_, stats) = crate::kernel::compute_accelerations_tiled(
+                    &mut spe.local_store,
+                    r.pos_i,
+                    lo,
+                    slice_len,
+                    buf,
+                    j_lo,
+                    count,
+                    r.acc,
+                    params,
+                    run.variant,
+                    &config.costs,
+                );
+                dma_cycles.push(d);
+                compute_cycles.push(stats.cycles);
+                self.tl.add_stats(&stats);
+            }
+            let mut path = dma_i + zero_cycles + dma_cycles[0];
+            for t in 0..n_tiles {
+                let next_dma = if t + 1 < n_tiles {
+                    dma_cycles[t + 1]
+                } else {
+                    0.0
+                };
+                path += compute_cycles[t].max(next_dma);
+            }
+
+            // Results out; PE slice read from the accumulator lanes.
+            let mut pe_slice = 0.0f32;
+            for ii in 0..slice_len {
+                let q = spe.local_store.load_quad(r.acc, ii);
+                write_quad(&mut self.main_memory, n + lo + ii, q);
+                pe_slice += q[3];
+            }
+            let dma_out = dma.transfer_cycles(slice_len * 16);
+            spe.outbox.write(1);
+            let _ = spe.outbox.read();
+            path += dma_out + config.mailbox_cycles;
+
+            spe.charge(path);
+            max_spe_path = max_spe_path.max(path);
+            pe_total += pe_slice;
+            if run.policy == SpawnPolicy::RespawnEveryStep {
+                spe.stop_thread();
+            }
+        }
+        self.tl.breakdown.compute += max_spe_path;
+
+        for (i, acc) in e.accelerations.iter_mut().enumerate() {
+            let q = read_quad(&self.main_memory, n + i);
+            *acc = vecmath::Vec3::new(q[0], q[1], q[2]);
+        }
+        Ok((pe_total * 0.5) as f64)
+    }
+}
+
+/// The double-precision port ([`CellBeDevice::run_md_double`]).
+struct Double {
+    tl: Timeline<'static>,
+    run: CellRunConfig,
+    dma: DmaEngine,
+    params: SpeLanePhysicsF64,
+    /// Two quadwords per atom per array.
+    main_memory: Vec<u8>,
+    spes: Vec<Spe>,
+    regions: Vec<(LsRegion, LsRegion)>,
+    slices: Vec<(usize, usize)>,
+}
+
+impl Double {
+    fn new(
+        config: CellConfig,
+        run: CellRunConfig,
+        sim: &SimConfig,
+        sys: &ParticleSystem<f64>,
+    ) -> Result<Self, DeviceError> {
+        check_spes(run, &config)?;
+        let n = sys.n();
+        let mut spes = spes(run, &config);
+        let mut regions = Vec::with_capacity(run.n_spes);
+        for spe in &mut spes {
+            let pos = spe.alloc_quads(2 * n).map_err(CellError::from)?;
+            let acc = spe.alloc_quads(2 * n).map_err(CellError::from)?;
+            regions.push((pos, acc));
+        }
+        Ok(Self {
+            tl: Timeline::new(config, n, sim, None),
+            run,
+            dma: DmaEngine::new(&config),
+            params: SpeLanePhysicsF64 {
+                sub: sim.substrate::<f64>(),
+                box_len: sys.box_len,
+                inv_mass: 1.0 / sys.mass,
+            },
+            main_memory: vec![0u8; 4 * n * 16],
+            spes,
+            regions,
+            slices: partition(n, run.n_spes),
+        })
+    }
+
+    fn eval(&mut self, e: Eval<'_, f64>) -> Result<f64, CellError> {
+        let n = self.tl.n;
+        let (run, dma, params) = (self.run, self.dma, self.params);
+        let config = self.tl.config;
+        self.tl
+            .launch(&mut self.spes, run.policy, e.index, e.faults)?;
+        for (i, p) in e.positions.iter().enumerate() {
+            write_dquad(&mut self.main_memory, 2 * i, [p.x, p.y]);
+            write_dquad(&mut self.main_memory, 2 * i + 1, [p.z, 0.0]);
+        }
+
+        let mut max_spe_cycles = 0.0f64;
+        let mut max_spe_dma = 0.0f64;
+        let mut pe_total = 0.0f64;
+        for (s, spe) in self.spes.iter_mut().enumerate() {
+            if run.policy == SpawnPolicy::LaunchOnce && e.index > 0 {
+                let _ = spe.inbox.read();
+                spe.charge(config.mailbox_cycles);
+            }
+            let (pos_r, acc_r) = self.regions[s];
+            let (lo, hi) = self.slices[s];
+            let dma_in = dma.get(
+                &self.main_memory,
+                &mut spe.local_store,
+                pos_r,
+                0,
+                2 * n * 16,
+            )?;
+            let (pe_slice, stats) = crate::kernel::compute_accelerations_f64(
+                &mut spe.local_store,
+                pos_r,
+                acc_r,
+                lo..hi,
+                n,
+                params,
+                &config.costs,
+            );
+            let slice_view = LsRegion {
+                offset: acc_r.offset + 2 * lo * 16,
+                len: 2 * (hi - lo) * 16,
+            };
+            let dma_out = dma.put(
+                &spe.local_store,
+                &mut self.main_memory,
+                slice_view,
+                (2 * n + 2 * lo) * 16,
+                2 * (hi - lo) * 16,
+            )?;
+            spe.outbox.write(1);
+            let _ = spe.outbox.read();
+            let spe_cycles = stats.cycles + config.mailbox_cycles;
+            spe.charge(dma_in + spe_cycles + dma_out);
+            max_spe_cycles = max_spe_cycles.max(spe_cycles);
+            max_spe_dma = max_spe_dma.max(dma_in + dma_out);
+            self.tl.add_stats(&stats);
+            pe_total += pe_slice;
+            if run.policy == SpawnPolicy::RespawnEveryStep {
+                spe.stop_thread();
+            }
+        }
+        self.tl.breakdown.compute += max_spe_cycles;
+        self.tl.breakdown.dma += max_spe_dma;
+
+        for (i, acc) in e.accelerations.iter_mut().enumerate() {
+            let [ax, ay] = read_dquad(&self.main_memory, 2 * n + 2 * i);
+            let [az, _] = read_dquad(&self.main_memory, 2 * n + 2 * i + 1);
+            *acc = vecmath::Vec3::new(ax, ay, az);
+        }
+        Ok(pe_total * 0.5)
+    }
+}
+
+/// The PPE-only baseline ([`CellBeDevice::run_md_ppe_only`], [`CellPpeMd`]).
+pub struct PpeOnly {
+    tl: Timeline<'static>,
+    params: SpeLanePhysics,
+    /// The PPE works straight out of main memory; the kernel runs over a
+    /// scratch "store" big enough for both arrays.
+    scratch: LocalStore,
+    pos_r: LsRegion,
+    acc_r: LsRegion,
+}
+
+impl PpeOnly {
+    fn new(config: CellConfig, sim: &SimConfig, sys: &ParticleSystem<f32>) -> Self {
+        let n = sys.n();
+        // The layout is fixed, so the regions are constructed directly —
+        // nothing can fail here.
+        Self {
+            tl: Timeline::new(config, n, sim, None),
+            params: lane_physics(sim, sys),
+            scratch: LocalStore::new(2 * n * 16),
+            pos_r: LsRegion {
+                offset: 0,
+                len: n * 16,
+            },
+            acc_r: LsRegion {
+                offset: n * 16,
+                len: n * 16,
+            },
+        }
+    }
+}
+
+macro_rules! cell_step_cost {
+    ($ty:ty, $real:ty) => {
+        impl CellPath for $ty {
+            fn timeline(&self) -> &Timeline<'_> {
+                &self.tl
+            }
+        }
+
+        impl StepCost for $ty {
+            type Real = $real;
+
+            fn charge_drift(&mut self) {
+                self.tl.charge_drift();
+            }
+
+            fn evaluate(&mut self, e: Eval<'_, $real>) -> Result<f64, DeviceError> {
+                Ok(self.eval(e)?)
+            }
+
+            fn charge_kick(&mut self) {
+                self.tl.charge_kick();
+            }
+
+            fn sample(&mut self, _perf: &mut PerfMonitor) -> f64 {
+                self.tl.sim_seconds()
+            }
+
+            fn finish(&mut self, _perf: &PerfMonitor) -> CostReport {
+                let s = self.tl.stats;
+                let ops = s.pairs_tested as f64 * FLOPS_PER_PAIR
+                    + s.interactions as f64 * FLOPS_PER_INTERACTION;
+                self.tl.report(Vec::new(), ops, 0.0)
+            }
+        }
+    };
+}
+
+cell_step_cost!(Tiled, f32);
+cell_step_cost!(Double, f64);
+cell_step_cost!(PpeOnly, f32);
+
+impl PpeOnly {
+    fn eval(&mut self, e: Eval<'_, f32>) -> Result<f64, CellError> {
+        let n = self.tl.n;
+        for (i, p) in e.positions.iter().enumerate() {
+            self.scratch.store_quad(self.pos_r, i, [p.x, p.y, p.z, 0.0]);
+        }
+        let (pe, stats) = compute_accelerations(
+            &mut self.scratch,
+            self.pos_r,
+            self.acc_r,
+            0..n,
+            n,
+            self.params,
+            SpeKernelVariant::Original,
+            &self.tl.config.costs,
+        );
+        self.tl.breakdown.compute += self.tl.ppe.scale_kernel_cycles(stats.cycles);
+        self.tl.add_stats(&stats);
+        for (i, acc) in e.accelerations.iter_mut().enumerate() {
+            let q = self.scratch.load_quad(self.acc_r, i);
+            *acc = vecmath::Vec3::new(q[0], q[1], q[2]);
+        }
+        Ok((pe * 0.5) as f64)
+    }
+}
+
 /// Flop estimate per examined pair (minimum image + distance + cutoff test)
 /// — for counter reporting only; simulated time comes from the cost model.
 const FLOPS_PER_PAIR: f64 = 14.0;
@@ -1199,7 +1273,7 @@ fn simd_fraction(variant: SpeKernelVariant) -> f64 {
     }
 }
 
-/// Era-appropriate Cell counters, registered once per instrumented run.
+/// Era-appropriate Cell counters, registered once per run.
 struct PerfHandles {
     /// Per-SPE DMA traffic (get + put), indexed by SPE id.
     spe_dma_bytes: Vec<sim_perf::CounterHandle>,
@@ -1217,7 +1291,7 @@ struct PerfHandles {
 }
 
 impl PerfHandles {
-    fn register(perf: &mut sim_perf::PerfMonitor, n_spes: usize) -> Self {
+    fn register(perf: &mut PerfMonitor, n_spes: usize) -> Self {
         Self {
             spe_dma_bytes: (0..n_spes)
                 .map(|s| perf.register(format!("cell.spe{s}.dma.bytes"), "bytes"))
@@ -1237,11 +1311,6 @@ impl PerfHandles {
     }
 }
 
-/// Apply the armed fault schedule to one injection site: walk the plan's
-/// per-retry decisions, charge `unit_cycles` of simulated recovery time per
-/// failure, and return the total extra cycles — or the typed exhaustion
-/// error once the retry budget is spent, so the harness supervisor can
-/// restore a checkpoint or fall back to the reference device.
 /// Mutable state one simulated SPE owns during the force phase: the SPE
 /// itself (local store, mailboxes, cycle counter), its window of the main
 /// memory acceleration image, and — under hazard-check — its race detector.
@@ -1266,85 +1335,7 @@ struct SpeLaneOut {
     /// Peeked injection sites in resolution order (get, tag wait, put):
     /// `(site, outcome, unit recovery cycles)`, committed to the session's
     /// ledger in SPE order by the fold.
-    #[cfg(feature = "fault-inject")]
-    faults: [(sim_fault::FaultSite, sim_fault::SiteOutcome, f64); 3],
-}
-
-/// Lane-side half of [`resolve_fault_site`]: the pure plan walk.
-#[cfg(feature = "fault-inject")]
-fn peek_fault_site(
-    fault: Option<&sim_fault::FaultSession>,
-    site: sim_fault::FaultSite,
-) -> sim_fault::SiteOutcome {
-    fault.map_or_else(sim_fault::SiteOutcome::clean, |f| f.peek(site))
-}
-
-/// Recovery cycles a peeked outcome will charge (0 when the site exhausts —
-/// the run aborts instead of paying for the failed attempts).
-#[cfg(feature = "fault-inject")]
-fn peeked_extra_cycles(out: sim_fault::SiteOutcome, unit_cycles: f64) -> f64 {
-    if out.exhausted {
-        0.0
-    } else {
-        unit_cycles * f64::from(out.failures)
-    }
-}
-
-/// Fold-side half of [`resolve_fault_site`]: replay a peeked outcome into
-/// the session's ledger exactly as the serial walk would have — commit,
-/// abort on exhaustion, then charge the recovery time.
-#[cfg(feature = "fault-inject")]
-fn commit_fault_site(
-    fault: &mut Option<sim_fault::FaultSession>,
-    site: sim_fault::FaultSite,
-    out: sim_fault::SiteOutcome,
-    unit_cycles: f64,
-    clock_hz: f64,
-) -> Result<f64, CellError> {
-    let Some(sess) = fault.as_mut() else {
-        return Ok(0.0);
-    };
-    sess.commit(out);
-    if out.exhausted {
-        return Err(CellError::FaultExhausted {
-            kind: site.kind,
-            eval: site.eval,
-            unit: site.unit,
-        });
-    }
-    let extra = unit_cycles * f64::from(out.failures);
-    if extra > 0.0 {
-        sess.charge(extra / clock_hz);
-    }
-    Ok(extra)
-}
-
-/// Apply the armed fault schedule to one injection site in place (the serial
-/// peek-and-commit walk; see [`peek_fault_site`] / [`commit_fault_site`] for
-/// the split the host-parallel SPE lanes use).
-#[cfg(feature = "fault-inject")]
-fn resolve_fault_site(
-    fault: &mut Option<sim_fault::FaultSession>,
-    site: sim_fault::FaultSite,
-    unit_cycles: f64,
-    clock_hz: f64,
-) -> Result<f64, CellError> {
-    let Some(sess) = fault.as_mut() else {
-        return Ok(0.0);
-    };
-    let out = sess.outcome(site);
-    if out.exhausted {
-        return Err(CellError::FaultExhausted {
-            kind: site.kind,
-            eval: site.eval,
-            unit: site.unit,
-        });
-    }
-    let extra = unit_cycles * f64::from(out.failures);
-    if extra > 0.0 {
-        sess.charge(extra / clock_hz);
-    }
-    Ok(extra)
+    faults: [(FaultSite, SiteOutcome, f64); 3],
 }
 
 /// Split `n` items into `k` contiguous, balanced slices.
@@ -1423,7 +1414,10 @@ impl CellMd {
     }
 }
 
-impl md_core::device::MdDevice for CellMd {
+impl CostModel for CellMd {
+    type Real = f32;
+    type Run<'a> = Resident<'static>;
+
     fn label(&self) -> String {
         format!("cell-{}spe", self.run.n_spes)
     }
@@ -1432,86 +1426,17 @@ impl md_core::device::MdDevice for CellMd {
         self.device.config.clock_hz * SPE_FLOPS_PER_CYCLE * self.run.n_spes as f64
     }
 
-    #[cfg(feature = "fault-inject")]
-    fn resalt(&mut self, salt: u64) {
-        self.device.fault_plan = self.device.fault_plan.map(|p| p.with_salt(salt));
+    fn driver(&mut self) -> &mut StepDriver {
+        &mut self.device.driver
     }
 
-    fn run(
+    fn start(
         &mut self,
         sim: &SimConfig,
-        mut opts: md_core::device::RunOptions<'_>,
-    ) -> Result<md_core::device::DeviceRun, md_core::device::DeviceError> {
-        #[cfg(feature = "fault-inject")]
-        if let Some(plan) = opts.fault_plan {
-            self.device.fault_plan = Some(plan);
-        }
-        let (mut sys, start_step): (ParticleSystem<f32>, u64) = match opts.start {
-            Some(cp) => (cp.restore(), cp.step),
-            None => (init::initialize(sim), 0),
-        };
-        // Flops and DMA traffic are reported through the counter layer, so
-        // observe with a local monitor when the caller didn't pass one
-        // (observation is free: the counted run is bitwise-identical).
-        let mut local = sim_perf::PerfMonitor::new();
-        let perf = match opts.perf.take() {
-            Some(p) => p,
-            None => &mut local,
-        };
-        let r = self
-            .device
-            .run_md_impl(
-                &mut sys,
-                sim,
-                opts.steps,
-                self.run,
-                None,
-                Some(perf),
-                opts.host_parallelism,
-            )
-            .map_err(|e| md_core::device::DeviceError::Failed(e.to_string()))?;
-        let clk = self.device.config.clock_hz;
-        let flops = md_core::device::counter_total(perf, "cell.flops.simd")
-            + md_core::device::counter_total(perf, "cell.flops.scalar");
-        let bytes = md_core::device::counter_total(perf, "cell.dma.bytes_in")
-            + md_core::device::counter_total(perf, "cell.dma.bytes_out");
-        let fraction = |cycles: f64| {
-            if r.sim_seconds == 0.0 {
-                0.0
-            } else {
-                (cycles / clk) / r.sim_seconds
-            }
-        };
-        let run = md_core::device::DeviceRun {
-            sim_seconds: r.sim_seconds,
-            energies: r.energies,
-            checkpoint: md_core::checkpoint::SystemCheckpoint::capture(
-                &sys,
-                start_step + opts.steps as u64,
-            ),
-            attribution: vec![
-                ("compute", r.breakdown.compute / clk),
-                ("dma_wait", r.breakdown.dma / clk),
-                ("mailbox", r.breakdown.mailbox / clk),
-                ("spe_spawn", r.breakdown.spawn / clk),
-                ("ppe_serial", r.breakdown.ppe / clk),
-            ],
-            derived: vec![
-                ("dma_fraction", fraction(r.breakdown.dma)),
-                ("launch_fraction", fraction(r.breakdown.spawn)),
-            ],
-            ops: flops,
-            bytes_moved: bytes,
-            #[cfg(feature = "fault-inject")]
-            faults: r.faults,
-            #[cfg(not(feature = "fault-inject"))]
-            faults: md_core::device::FaultStats::default(),
-        };
-        if let Some(led) = opts.ledger.take() {
-            let label = md_core::device::MdDevice::label(self);
-            md_core::device::ledger_record_run(led, &label, &run, Some(perf));
-        }
-        Ok(run)
+        sys: &ParticleSystem<f32>,
+        perf: &mut PerfMonitor,
+    ) -> Result<Resident<'static>, DeviceError> {
+        Resident::new(self.device.config, self.run, sim, sys, None, perf)
     }
 }
 
@@ -1529,7 +1454,10 @@ impl CellPpeMd {
     }
 }
 
-impl md_core::device::MdDevice for CellPpeMd {
+impl CostModel for CellPpeMd {
+    type Real = f32;
+    type Run<'a> = PpeOnly;
+
     fn label(&self) -> String {
         "cell-ppe".to_string()
     }
@@ -1539,43 +1467,17 @@ impl md_core::device::MdDevice for CellPpeMd {
         self.device.config.clock_hz
     }
 
-    fn run(
+    fn driver(&mut self) -> &mut StepDriver {
+        &mut self.device.driver
+    }
+
+    fn start(
         &mut self,
         sim: &SimConfig,
-        mut opts: md_core::device::RunOptions<'_>,
-    ) -> Result<md_core::device::DeviceRun, md_core::device::DeviceError> {
-        let (mut sys, start_step): (ParticleSystem<f32>, u64) = match opts.start {
-            Some(cp) => (cp.restore(), cp.step),
-            None => (init::initialize(sim), 0),
-        };
-        let r = self.device.run_md_ppe_only_impl(&mut sys, sim, opts.steps);
-        let clk = self.device.config.clock_hz;
-        let ops = r.kernel_stats.pairs_tested as f64 * FLOPS_PER_PAIR
-            + r.kernel_stats.interactions as f64 * FLOPS_PER_INTERACTION;
-        let run = md_core::device::DeviceRun {
-            sim_seconds: r.sim_seconds,
-            energies: r.energies,
-            checkpoint: md_core::checkpoint::SystemCheckpoint::capture(
-                &sys,
-                start_step + opts.steps as u64,
-            ),
-            attribution: vec![
-                ("compute", r.breakdown.compute / clk),
-                ("dma_wait", r.breakdown.dma / clk),
-                ("mailbox", r.breakdown.mailbox / clk),
-                ("spe_spawn", r.breakdown.spawn / clk),
-                ("ppe_serial", r.breakdown.ppe / clk),
-            ],
-            derived: Vec::new(),
-            ops,
-            bytes_moved: 0.0,
-            faults: md_core::device::FaultStats::default(),
-        };
-        if let Some(led) = opts.ledger.take() {
-            let label = md_core::device::MdDevice::label(self);
-            md_core::device::ledger_record_run(led, &label, &run, opts.perf.as_deref());
-        }
-        Ok(run)
+        sys: &ParticleSystem<f32>,
+        _perf: &mut PerfMonitor,
+    ) -> Result<PpeOnly, DeviceError> {
+        Ok(PpeOnly::new(self.device.config, sim, sys))
     }
 }
 
@@ -1610,19 +1512,16 @@ impl md_core::device::MdDevice for CellAccelProbe {
         &mut self,
         sim: &SimConfig,
         mut opts: md_core::device::RunOptions<'_>,
-    ) -> Result<md_core::device::DeviceRun, md_core::device::DeviceError> {
+    ) -> Result<md_core::device::DeviceRun, DeviceError> {
         if opts.start.is_some() || opts.steps != 0 {
-            return Err(md_core::device::DeviceError::Unsupported(
+            return Err(DeviceError::Unsupported(
                 "the single-SPE probe times one force evaluation from a fresh lattice \
                  (steps must be 0, no checkpoint)"
                     .to_string(),
             ));
         }
-        let t = self
-            .device
-            .time_single_spe_accel(sim, self.variant)
-            .map_err(|e| md_core::device::DeviceError::Failed(e.to_string()))?;
-        let sys: ParticleSystem<f32> = init::initialize(sim);
+        let (sys, _) = start_system::<f32>(sim, None)?;
+        let t = self.device.time_single_spe_accel(sim, self.variant)?;
         let run = md_core::device::DeviceRun {
             sim_seconds: t,
             energies: EnergyReport::measure(&sys, 0.0),
@@ -1631,7 +1530,7 @@ impl md_core::device::MdDevice for CellAccelProbe {
             derived: Vec::new(),
             ops: 0.0,
             bytes_moved: 0.0,
-            faults: md_core::device::FaultStats::default(),
+            faults: FaultStats::default(),
         };
         if let Some(led) = opts.ledger.take() {
             let label = md_core::device::MdDevice::label(self);
@@ -1647,62 +1546,38 @@ impl md_core::device::MdDevice for CellAccelProbe {
 #[allow(clippy::float_cmp)]
 mod tests {
     use super::*;
-    use md_core::device::HostParallelism;
+    use md_core::device::{MdDevice, RunOptions};
     use md_core::forces::{AllPairsFullKernel, ForceKernel};
+    use md_core::verlet::VelocityVerlet;
 
     fn workload(n: usize) -> SimConfig {
         SimConfig::reduced_lj(n)
     }
 
-    /// Test driver for the resident SPE-offload path from a fresh lattice
-    /// (the production entry point is `MdDevice::run` on [`CellMd`]).
+    /// The resident SPE-offload path from a fresh lattice, reporting the
+    /// Cell's own breakdown (the production entry point is `MdDevice::run`
+    /// on [`CellMd`]).
     fn run_md(
         device: &CellBeDevice,
         sim: &SimConfig,
         steps: usize,
         run: CellRunConfig,
-    ) -> Result<CellRun, CellError> {
-        let mut sys: ParticleSystem<f32> = init::initialize(sim);
-        device.run_md_impl(
-            &mut sys,
-            sim,
-            steps,
-            run,
-            None,
-            None,
-            HostParallelism::Serial,
-        )
+    ) -> Result<CellRun, DeviceError> {
+        device.drive(sim, steps, device.driver, run, |sys, perf| {
+            Resident::new(device.config, run, sim, sys, None, perf)
+        })
     }
 
-    /// Like [`run_md`] but continuing from caller-owned state.
+    /// The resident path through `MdDevice::run`, from `start` when given.
     fn run_md_from(
-        device: &CellBeDevice,
-        sys: &mut ParticleSystem<f32>,
+        md: &mut CellMd,
         sim: &SimConfig,
+        start: Option<&md_core::checkpoint::SystemCheckpoint>,
         steps: usize,
-        run: CellRunConfig,
-    ) -> Result<CellRun, CellError> {
-        device.run_md_impl(sys, sim, steps, run, None, None, HostParallelism::Serial)
-    }
-
-    /// [`run_md`] with performance counters attached.
-    fn run_md_perf(
-        device: &CellBeDevice,
-        sim: &SimConfig,
-        steps: usize,
-        run: CellRunConfig,
-        perf: &mut sim_perf::PerfMonitor,
-    ) -> Result<CellRun, CellError> {
-        let mut sys: ParticleSystem<f32> = init::initialize(sim);
-        device.run_md_impl(
-            &mut sys,
-            sim,
-            steps,
-            run,
-            None,
-            Some(perf),
-            HostParallelism::Serial,
-        )
+    ) -> md_core::device::DeviceRun {
+        let mut opts = RunOptions::steps(steps);
+        opts.start = start;
+        md.run(sim, opts).unwrap()
     }
 
     #[test]
@@ -1845,7 +1720,7 @@ mod tests {
         let sim = workload(1024);
         let device = CellBeDevice::paper_blade();
         let eight = run_md(&device, &sim, 6, CellRunConfig::best()).unwrap();
-        let ppe = device.run_md_ppe_only(&sim, 6);
+        let ppe = device.run_md_ppe_only(&sim, 6).unwrap();
         let ratio = ppe.sim_seconds / eight.sim_seconds;
         assert!(ratio > 5.0, "PPE-only should be far slower: {ratio:.1}");
         assert!(
@@ -1877,13 +1752,19 @@ mod tests {
     fn perf_counters_are_free_and_populated() {
         let sim = workload(256);
         let device = CellBeDevice::paper_blade();
-        let plain = run_md(&device, &sim, 3, CellRunConfig::best()).unwrap();
-        let mut perf = sim_perf::PerfMonitor::new();
-        let counted = run_md_perf(&device, &sim, 3, CellRunConfig::best(), &mut perf).unwrap();
+        let counted = run_md(&device, &sim, 3, CellRunConfig::best()).unwrap();
+        let plain = CellMd::paper_blade(CellRunConfig::best())
+            .run(&sim, RunOptions::steps(3))
+            .unwrap();
+        let mut perf = PerfMonitor::new();
+        let observed = CellMd::paper_blade(CellRunConfig::best())
+            .run(&sim, RunOptions::steps(3).with_perf(&mut perf))
+            .unwrap();
 
         // Observability is free: bitwise-identical outcome.
-        assert_eq!(plain.sim_seconds, counted.sim_seconds);
-        assert_eq!(plain.energies.total, counted.energies.total);
+        assert_eq!(plain.sim_seconds, observed.sim_seconds);
+        assert_eq!(plain.energies.total, observed.energies.total);
+        assert_eq!(counted.sim_seconds, observed.sim_seconds);
 
         // 4 evaluations (1 priming + 3 steps), each SPE gets all 256
         // positions in (256 quads) and puts its 32-atom slice back.
@@ -1910,19 +1791,13 @@ mod tests {
     #[test]
     fn scalar_variant_attributes_flops_to_scalar_pipe() {
         let sim = workload(108);
-        let device = CellBeDevice::paper_blade();
-        let mut perf = sim_perf::PerfMonitor::new();
-        run_md_perf(
-            &device,
-            &sim,
-            1,
-            CellRunConfig {
-                n_spes: 2,
-                policy: SpawnPolicy::LaunchOnce,
-                variant: SpeKernelVariant::Original,
-            },
-            &mut perf,
-        )
+        let mut perf = PerfMonitor::new();
+        CellMd::paper_blade(CellRunConfig {
+            n_spes: 2,
+            policy: SpawnPolicy::LaunchOnce,
+            variant: SpeKernelVariant::Original,
+        })
+        .run(&sim, RunOptions::steps(1).with_perf(&mut perf))
         .unwrap();
         let simd = perf.find("cell.flops.simd").expect("registered");
         let scalar = perf.find("cell.flops.scalar").expect("registered");
@@ -2079,48 +1954,30 @@ mod tests {
         // exactly: this is the property the supervisor's checkpoint/restart
         // relies on.
         let sim = workload(256);
-        let device = CellBeDevice::paper_blade();
-        let mut whole: ParticleSystem<f32> = init::initialize(&sim);
-        run_md_from(&device, &mut whole, &sim, 10, CellRunConfig::best()).unwrap();
-
-        let mut segmented: ParticleSystem<f32> = init::initialize(&sim);
-        run_md_from(&device, &mut segmented, &sim, 5, CellRunConfig::best()).unwrap();
-        run_md_from(&device, &mut segmented, &sim, 5, CellRunConfig::best()).unwrap();
-
-        assert_eq!(whole.positions, segmented.positions);
-        assert_eq!(whole.velocities, segmented.velocities);
-        assert_eq!(whole.accelerations, segmented.accelerations);
+        let mut md = CellMd::paper_blade(CellRunConfig::best());
+        let whole = run_md_from(&mut md, &sim, None, 10);
+        let first = run_md_from(&mut md, &sim, None, 5);
+        let segmented = run_md_from(&mut md, &sim, Some(&first.checkpoint), 5);
+        assert_eq!(whole.checkpoint, segmented.checkpoint);
     }
 
-    #[cfg(feature = "fault-inject")]
     #[test]
     fn injected_faults_leave_physics_untouched_and_slow_the_run() {
         let sim = workload(256);
-        let clean_device = CellBeDevice::paper_blade();
-        let mut clean_sys: ParticleSystem<f32> = init::initialize(&sim);
         let clean = run_md_from(
-            &clean_device,
-            &mut clean_sys,
+            &mut CellMd::paper_blade(CellRunConfig::best()),
             &sim,
+            None,
             5,
-            CellRunConfig::best(),
-        )
-        .unwrap();
-
-        let faulty_device =
-            CellBeDevice::paper_blade().with_fault_plan(sim_fault::FaultPlan::new(7, 0.1));
-        let mut faulty_sys: ParticleSystem<f32> = init::initialize(&sim);
+        );
         let faulty = run_md_from(
-            &faulty_device,
-            &mut faulty_sys,
+            &mut CellMd::paper_blade(CellRunConfig::best()).with_fault_plan(FaultPlan::new(7, 0.1)),
             &sim,
+            None,
             5,
-            CellRunConfig::best(),
-        )
-        .unwrap();
+        );
 
-        assert_eq!(clean_sys.positions, faulty_sys.positions);
-        assert_eq!(clean_sys.velocities, faulty_sys.velocities);
+        assert_eq!(clean.checkpoint, faulty.checkpoint);
         assert_eq!(clean.energies.total, faulty.energies.total);
         assert!(faulty.faults.any(), "rate 0.2 over 5 steps must fire");
         assert!(
@@ -2140,36 +1997,36 @@ mod tests {
         );
     }
 
-    #[cfg(feature = "fault-inject")]
     #[test]
     fn always_faulting_plan_surfaces_typed_exhaustion() {
         let sim = workload(256);
-        let device = CellBeDevice::paper_blade().with_fault_plan(sim_fault::FaultPlan::new(0, 1.0));
+        let device = CellBeDevice::paper_blade().with_fault_plan(FaultPlan::new(0, 1.0));
         let err = run_md(&device, &sim, 2, CellRunConfig::best());
+        let want = CellError::FaultExhausted {
+            kind: FaultKind::SpeLaunch,
+            eval: 0,
+            unit: 0,
+        };
         assert!(
-            matches!(err, Err(CellError::FaultExhausted { .. })),
+            matches!(&err, Err(DeviceError::Failed(m)) if *m == want.to_string()),
             "rate-1.0 plan must exhaust: {err:?}"
         );
     }
 
-    #[cfg(feature = "fault-inject")]
     #[test]
     fn fault_schedule_is_reproducible_across_runs() {
         let sim = workload(256);
-        let mk =
-            || CellBeDevice::paper_blade().with_fault_plan(sim_fault::FaultPlan::new(42, 0.15));
+        let mk = || CellBeDevice::paper_blade().with_fault_plan(FaultPlan::new(42, 0.15));
         let a = run_md(&mk(), &sim, 4, CellRunConfig::best()).unwrap();
         let b = run_md(&mk(), &sim, 4, CellRunConfig::best()).unwrap();
         assert_eq!(a.faults, b.faults);
         assert_eq!(a.sim_seconds, b.sim_seconds);
     }
 
-    #[cfg(feature = "fault-inject")]
     #[test]
     fn fault_instants_appear_on_the_timeline() {
         let sim = workload(256);
-        let device =
-            CellBeDevice::paper_blade().with_fault_plan(sim_fault::FaultPlan::new(11, 0.3));
+        let device = CellBeDevice::paper_blade().with_fault_plan(FaultPlan::new(11, 0.3));
         let mut tracer = mdea_trace::Tracer::new();
         let run = device
             .run_md_traced(&sim, 4, CellRunConfig::best(), &mut tracer)

@@ -98,9 +98,8 @@ pub enum CellError {
     /// An injected fault kept firing past the retry budget; the run is
     /// abandoned mid-flight and the caller (normally the harness supervisor)
     /// must restore from a checkpoint or fall back to the reference device.
-    #[cfg(feature = "fault-inject")]
     FaultExhausted {
-        kind: sim_fault::FaultKind,
+        kind: md_core::driver::FaultKind,
         eval: u64,
         unit: u32,
     },
@@ -111,7 +110,6 @@ impl fmt::Display for CellError {
         match self {
             CellError::Overflow(e) => e.fmt(f),
             CellError::Dma(e) => e.fmt(f),
-            #[cfg(feature = "fault-inject")]
             CellError::FaultExhausted { kind, eval, unit } => write!(
                 f,
                 "injected {kind} fault exhausted its retry budget at eval {eval} on SPE {unit}"

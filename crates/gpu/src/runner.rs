@@ -9,12 +9,15 @@
 use crate::config::GpuConfig;
 use crate::device::GpuDevice;
 use crate::mdshader::LjAccelShader;
+use crate::reduction::ReductionStrategy;
 use crate::texture::Texture;
-use md_core::init;
+use md_core::device::{counter_total, DeviceError, FaultStats, HostParallelism};
+use md_core::driver::{
+    start_system, CostModel, CostReport, Eval, FaultKind, FaultSite, StepCost, StepDriver,
+};
 use md_core::observables::EnergyReport;
 use md_core::params::SimConfig;
 use md_core::system::ParticleSystem;
-use md_core::verlet::VelocityVerlet;
 use vecmath::Vec3;
 
 /// Per-category simulated seconds across a run.
@@ -60,46 +63,21 @@ pub struct GpuRun {
     /// Injected-fault ledger for this run (zero when no plan is armed).
     /// `faults.exhausted > 0` means the modeled degraded path was taken;
     /// the harness supervisor treats that as a failed segment.
-    #[cfg(feature = "fault-inject")]
-    pub faults: sim_fault::FaultStats,
+    pub faults: FaultStats,
 }
 
 /// Driver for GPU-accelerated MD.
 pub struct GpuMdSimulation {
     pub config: GpuConfig,
-    /// Armed fault schedule; `None` runs fault-free (see DESIGN.md §9).
-    #[cfg(feature = "fault-inject")]
-    pub fault_plan: Option<sim_fault::FaultPlan>,
-    /// Physics-once execution (DESIGN.md §17): when set, each evaluation's
-    /// texels come from the shared wide evaluator and the op tally is
-    /// replayed in closed form ([`LjAccelShader::dispatch_shared`]) instead
-    /// of the interpretive per-pair shader walk. Bitwise-identical output
-    /// either way; on by default.
-    eval_memo: bool,
+    driver: StepDriver,
 }
 
 impl GpuMdSimulation {
     pub fn new(config: GpuConfig) -> Self {
         Self {
             config,
-            #[cfg(feature = "fault-inject")]
-            fault_plan: None,
-            eval_memo: true,
+            driver: StepDriver::default(),
         }
-    }
-
-    /// Toggle the shared-eval replay path (the memo-off baseline runs the
-    /// interpretive per-pair shader walk).
-    pub fn set_eval_memo(&mut self, enabled: bool) {
-        self.eval_memo = enabled;
-    }
-
-    /// Arm a deterministic fault schedule for subsequent `run_md*` calls.
-    #[cfg(feature = "fault-inject")]
-    #[must_use]
-    pub fn with_fault_plan(mut self, plan: sim_fault::FaultPlan) -> Self {
-        self.fault_plan = Some(plan);
-        self
     }
 
     pub fn geforce_7900gtx() -> Self {
@@ -118,179 +96,223 @@ impl GpuMdSimulation {
         &self,
         sim: &SimConfig,
         steps: usize,
-        strategy: crate::reduction::ReductionStrategy,
-    ) -> GpuRun {
-        let mut sys: ParticleSystem<f32> = init::initialize(sim);
-        self.run_md_impl(
+        strategy: ReductionStrategy,
+    ) -> Result<GpuRun, DeviceError> {
+        let (mut sys, start_step) = start_system(sim, None)?;
+        let mut perf = sim_perf::PerfMonitor::new();
+        let mut cost = GpuStep::new(self.config, sim, &sys, strategy, &mut perf);
+        let run = self.driver.drive(
+            &mut cost,
             &mut sys,
+            start_step,
             sim,
             steps,
+            HostParallelism::Serial,
+            &mut perf,
+        )?;
+        Ok(GpuRun {
+            sim_seconds: run.sim_seconds,
+            startup_seconds: cost.device.startup_seconds(),
+            breakdown: cost.breakdown,
+            energies: run.energies,
+            total_ops: cost.total_ops,
+            faults: run.faults,
+        })
+    }
+}
+
+/// One run's cost accounting. Per time step (paper section 5.2) the CPU
+/// sends the updated positions to the GPU, the GPU computes all
+/// accelerations (and per-atom PE) in one dispatch, the CPU reads the
+/// 4-component results back over PCIe, sums the PE lanes in linear time, and
+/// integrates.
+pub struct GpuStep {
+    config: GpuConfig,
+    device: GpuDevice,
+    shader: LjAccelShader,
+    strategy: ReductionStrategy,
+    n: usize,
+    /// Ensemble work (thermostat rescale) is one more O(N) host pass;
+    /// absent under NVE, so the paper runs charge nothing.
+    ensemble: bool,
+    breakdown: GpuStepBreakdown,
+    total_ops: u64,
+    total_fetches: u64,
+    total_alu: u64,
+    bytes_up: u64,
+    bytes_down: u64,
+    dispatches: u64,
+    handles: PerfHandles,
+}
+
+impl GpuStep {
+    fn new(
+        config: GpuConfig,
+        sim: &SimConfig,
+        sys: &ParticleSystem<f32>,
+        strategy: ReductionStrategy,
+        perf: &mut sim_perf::PerfMonitor,
+    ) -> Self {
+        let n = sys.n();
+        let sub = sim.substrate::<f32>();
+        let mut device = GpuDevice::new(config);
+        device.compile(LjAccelShader::constants(sys.box_len, 1.0 / sys.mass, &sub));
+        Self {
+            config,
+            device,
+            shader: LjAccelShader::new(n, sub),
             strategy,
-            None,
-            md_core::device::HostParallelism::Serial,
-        )
+            n,
+            ensemble: sub.extra_step_ops_per_atom() > 0.0,
+            breakdown: GpuStepBreakdown::default(),
+            total_ops: 0,
+            total_fetches: 0,
+            total_alu: 0,
+            bytes_up: 0,
+            bytes_down: 0,
+            dispatches: 0,
+            handles: PerfHandles::register(perf),
+        }
     }
 
-    fn run_md_impl(
-        &self,
-        sys: &mut ParticleSystem<f32>,
-        sim: &SimConfig,
-        steps: usize,
-        strategy: crate::reduction::ReductionStrategy,
-        mut perf: Option<&mut sim_perf::PerfMonitor>,
-        par: md_core::device::HostParallelism,
-    ) -> GpuRun {
-        let n = sys.n();
-        let vv = VelocityVerlet::new(sim.dt as f32);
-        let sub = sim.substrate::<f32>();
+    fn linear_pass(&self) -> f64 {
+        self.config.cpu_linear_s_per_atom * self.n as f64
+    }
+}
 
-        let mut device = GpuDevice::new(self.config);
-        let shader = LjAccelShader::new(n, sub);
-        device.compile(LjAccelShader::constants(sys.box_len, 1.0 / sys.mass, &sub));
+impl StepCost for GpuStep {
+    type Real = f32;
 
-        let mut breakdown = GpuStepBreakdown::default();
-        let mut total_ops = 0u64;
-        let mut pe = 0.0f64;
-        let handles = perf.as_deref_mut().map(PerfHandles::register);
-        let mut total_fetches = 0u64;
-        let mut total_alu = 0u64;
-        let mut bytes_up = 0u64;
-        let mut bytes_down = 0u64;
+    fn charge_drift(&mut self) {
+        self.breakdown.cpu += self.linear_pass();
+    }
 
-        // One fault session per run; the functional transfers below always
-        // deliver pristine data, so injected failures re-model only the cost
-        // of detection and re-issue — never the physics.
-        #[cfg(feature = "fault-inject")]
-        let mut fault = self.fault_plan.map(sim_fault::FaultSession::new);
+    /// One functional transfer + dispatch + readback. Injected failures
+    /// re-model only the cost of detection and re-issue — the transfers
+    /// always deliver pristine data, so physics is untouched.
+    fn evaluate(&mut self, e: Eval<'_, f32>) -> Result<f64, DeviceError> {
+        // "At the next time step, the updated positions are re-sent to the
+        // GPU and new accelerations computed again."
+        let positions =
+            Texture::from_texels(e.positions.iter().map(|p| [p.x, p.y, p.z, 0.0]).collect());
+        let upload = self.device.upload_seconds(&positions);
+        self.breakdown.upload += upload;
+        self.bytes_up += positions.size_bytes() as u64;
+        // A timed-out host→GPU transfer costs the timeout window (modeled as
+        // the transfer itself) plus the re-send.
+        self.breakdown.upload += e.faults.degradable(
+            FaultSite::new(FaultKind::TransferTimeout, e.index, 0, 0),
+            2.0 * upload,
+            1.0,
+        );
 
-        // Priming evaluation + one per time step.
-        for eval in 0..=steps {
-            if eval > 0 {
-                vv.kick_drift(sys);
-                breakdown.cpu += self.config.cpu_linear_s_per_atom * n as f64;
-            }
+        let result = if e.shared_eval {
+            self.shader.dispatch_shared(&self.device, &positions, e.par)
+        } else {
+            self.device
+                .dispatch_par(&self.shader, &[&positions], self.n, e.par)
+        };
+        self.breakdown.shader += result.shader_seconds;
+        self.breakdown.dispatch_overhead += result.overhead_seconds;
+        self.total_ops += result.ops.total();
+        self.total_fetches += result.ops.fetches;
+        self.total_alu += result.ops.alu;
+        // A NaN-poisoned shader pass is detected on the host (a scan of the
+        // output texels, already covered by the linear CPU term) and the
+        // whole dispatch is re-issued.
+        self.breakdown.shader += e.faults.degradable(
+            FaultSite::new(FaultKind::ShaderNan, e.index, 0, 0),
+            result.shader_seconds + result.overhead_seconds,
+            1.0,
+        );
 
-            // "At the next time step, the updated positions are re-sent to
-            // the GPU and new accelerations computed again."
-            let positions =
-                Texture::from_texels(sys.positions.iter().map(|p| [p.x, p.y, p.z, 0.0]).collect());
-            let upload = device.upload_seconds(&positions);
-            breakdown.upload += upload;
-            bytes_up += positions.size_bytes() as u64;
-            #[cfg(feature = "fault-inject")]
-            {
-                // A timed-out host→GPU transfer costs the timeout window
-                // (modeled as the transfer itself) plus the re-send.
-                breakdown.upload += resolve_degradable(
-                    &mut fault,
-                    sim_fault::FaultSite::new(
-                        sim_fault::FaultKind::TransferTimeout,
-                        eval as u64,
-                        0,
-                        0,
-                    ),
-                    2.0 * upload,
-                );
-            }
+        let readback = self.device.readback_seconds(&result.output);
+        self.breakdown.readback += readback;
+        self.bytes_down += result.output.size_bytes() as u64;
+        // A corrupted PCIe readback is caught by a host-side checksum over
+        // the texels and re-read.
+        self.breakdown.readback += e.faults.degradable(
+            FaultSite::new(FaultKind::ReadbackCorruption, e.index, 0, 1),
+            readback,
+            1.0,
+        );
+        self.dispatches += 1;
 
-            let result = if self.eval_memo {
-                shader.dispatch_shared(&device, &positions, par)
-            } else {
-                device.dispatch_par(&shader, &[&positions], n, par)
-            };
-            breakdown.shader += result.shader_seconds;
-            breakdown.dispatch_overhead += result.overhead_seconds;
-            total_ops += result.ops.total();
-            total_fetches += result.ops.fetches;
-            total_alu += result.ops.alu;
-            #[cfg(feature = "fault-inject")]
-            {
-                // A NaN-poisoned shader pass is detected on the host (a scan
-                // of the output texels, already covered by the linear CPU
-                // term) and the whole dispatch is re-issued.
-                breakdown.shader += resolve_degradable(
-                    &mut fault,
-                    sim_fault::FaultSite::new(sim_fault::FaultKind::ShaderNan, eval as u64, 0, 0),
-                    result.shader_seconds + result.overhead_seconds,
-                );
-            }
-
-            let readback = device.readback_seconds(&result.output);
-            breakdown.readback += readback;
-            bytes_down += result.output.size_bytes() as u64;
-            #[cfg(feature = "fault-inject")]
-            {
-                // A corrupted PCIe readback is caught by a host-side
-                // checksum over the texels and re-read.
-                breakdown.readback += resolve_degradable(
-                    &mut fault,
-                    sim_fault::FaultSite::new(
-                        sim_fault::FaultKind::ReadbackCorruption,
-                        eval as u64,
-                        0,
-                        1,
-                    ),
-                    readback,
-                );
-            }
-
-            // The accelerations must come back to the host either way.
-            for (i, texel) in result.output.texels().iter().enumerate() {
-                sys.accelerations[i] = Vec3::new(texel[0], texel[1], texel[2]);
-            }
-            let pe_twice = match strategy {
-                crate::reduction::ReductionStrategy::CpuReadback => {
-                    // Linear-time CPU pass over the w lanes ("read back each
-                    // atom's contribution to PE as well and sum them in
-                    // linear time on the CPU").
-                    breakdown.cpu += self.config.cpu_linear_s_per_atom * n as f64;
-                    result
-                        .output
-                        .texels()
-                        .iter()
-                        .map(|t| t[3] as f64)
-                        .sum::<f64>()
-                }
-                crate::reduction::ReductionStrategy::GpuMultiPass => {
-                    let r = crate::reduction::reduce_on_gpu(&device, &result.output);
-                    breakdown.gpu_reduction += r.seconds;
-                    r.total
-                }
-            };
-            pe = pe_twice * 0.5;
-
-            if eval > 0 {
-                vv.kick(sys);
-                breakdown.cpu += self.config.cpu_linear_s_per_atom * n as f64;
-                // Ensemble work (thermostat rescale) is one more O(N) host
-                // pass; absent under NVE, so the paper runs charge nothing.
-                if sub.extra_step_ops_per_atom() > 0.0 {
-                    breakdown.cpu += self.config.cpu_linear_s_per_atom * n as f64;
-                }
-                sub.apply_thermostat(sys);
-            }
-
-            if let (Some(p), Some(h)) = (perf.as_deref_mut(), handles) {
-                p.record_total(h.fetches, total_fetches as f64);
-                p.record_total(h.shader_instructions, total_alu as f64);
-                p.record_total(h.bytes_to_device, bytes_up as f64);
-                p.record_total(h.bytes_from_device, bytes_down as f64);
-                // The host blocks on every readback (the CPU-side reduction
-                // needs the texels), so readback seconds *are* stall time.
-                p.record_total(h.readback_stall_seconds, breakdown.readback);
-                p.record_total(h.dispatches, (eval + 1) as f64);
-                p.sample_all(breakdown.total());
-            }
+        // The accelerations must come back to the host either way.
+        for (acc, texel) in e.accelerations.iter_mut().zip(result.output.texels()) {
+            *acc = Vec3::new(texel[0], texel[1], texel[2]);
         }
+        let pe_twice = match self.strategy {
+            ReductionStrategy::CpuReadback => {
+                // Linear-time CPU pass over the w lanes ("read back each
+                // atom's contribution to PE as well and sum them in linear
+                // time on the CPU").
+                self.breakdown.cpu += self.linear_pass();
+                result
+                    .output
+                    .texels()
+                    .iter()
+                    .map(|t| t[3] as f64)
+                    .sum::<f64>()
+            }
+            ReductionStrategy::GpuMultiPass => {
+                let r = crate::reduction::reduce_on_gpu(&self.device, &result.output);
+                self.breakdown.gpu_reduction += r.seconds;
+                r.total
+            }
+        };
+        Ok(pe_twice * 0.5)
+    }
 
-        GpuRun {
-            sim_seconds: breakdown.total(),
-            startup_seconds: device.startup_seconds(),
-            breakdown,
-            energies: EnergyReport::measure(sys, pe),
-            total_ops,
-            #[cfg(feature = "fault-inject")]
-            faults: fault.map_or_else(sim_fault::FaultStats::default, |f| f.stats()),
+    fn charge_kick(&mut self) {
+        self.breakdown.cpu += self.linear_pass();
+        if self.ensemble {
+            self.breakdown.cpu += self.linear_pass();
+        }
+    }
+
+    fn sample(&mut self, p: &mut sim_perf::PerfMonitor) -> f64 {
+        let h = self.handles;
+        p.record_total(h.fetches, self.total_fetches as f64);
+        p.record_total(h.shader_instructions, self.total_alu as f64);
+        p.record_total(h.bytes_to_device, self.bytes_up as f64);
+        p.record_total(h.bytes_from_device, self.bytes_down as f64);
+        // The host blocks on every readback (the CPU-side reduction needs
+        // the texels), so readback seconds *are* stall time.
+        p.record_total(h.readback_stall_seconds, self.breakdown.readback);
+        p.record_total(h.dispatches, self.dispatches as f64);
+        self.breakdown.total()
+    }
+
+    fn finish(&mut self, perf: &sim_perf::PerfMonitor) -> CostReport {
+        let b = self.breakdown;
+        let sim_seconds = b.total();
+        // The paper's small-N story: everything that exists only because the
+        // GPU sits across a bus versus the work itself.
+        let total = sim_seconds.max(f64::MIN_POSITIVE);
+        CostReport {
+            sim_seconds,
+            attribution: vec![
+                ("shader_compute", b.shader),
+                ("pcie_upload", b.upload),
+                ("pcie_readback", b.readback),
+                ("dispatch_overhead", b.dispatch_overhead),
+                ("cpu_serial", b.cpu),
+                ("gpu_reduction", b.gpu_reduction),
+            ],
+            derived: vec![
+                (
+                    "transfer_overhead_fraction",
+                    (b.upload + b.readback + b.dispatch_overhead) / total,
+                ),
+                (
+                    "compute_fraction",
+                    (b.shader + b.cpu + b.gpu_reduction) / total,
+                ),
+            ],
+            ops: self.total_ops as f64,
+            bytes_moved: counter_total(perf, "gpu.pcie.bytes_to_device")
+                + counter_total(perf, "gpu.pcie.bytes_from_device"),
         }
     }
 }
@@ -320,33 +342,10 @@ impl PerfHandles {
     }
 }
 
-/// Apply the armed fault schedule to one injection site, returning the extra
-/// simulated seconds to charge. The GPU driver's public run functions are
-/// infallible, so retry-budget exhaustion degrades instead of erroring: the
-/// modeled slow path (a device reset plus one conservative re-issue at 4x
-/// cost) is charged and `FaultStats::exhausted` is incremented — the harness
-/// supervisor treats a nonzero count as a failed segment.
-#[cfg(feature = "fault-inject")]
-fn resolve_degradable(
-    fault: &mut Option<sim_fault::FaultSession>,
-    site: sim_fault::FaultSite,
-    unit_seconds: f64,
-) -> f64 {
-    let Some(sess) = fault.as_mut() else {
-        return 0.0;
-    };
-    let out = sess.outcome(site);
-    let mut extra = unit_seconds * f64::from(out.failures);
-    if out.exhausted {
-        extra += 4.0 * unit_seconds;
-    }
-    if extra > 0.0 {
-        sess.charge(extra);
-    }
-    extra
-}
+impl CostModel for GpuMdSimulation {
+    type Real = f32;
+    type Run<'a> = GpuStep;
 
-impl md_core::device::MdDevice for GpuMdSimulation {
     fn label(&self) -> String {
         // Named models keep their historical metric labels; anything else is
         // identified by pipe count. The clock match is bit-exact on purpose:
@@ -365,84 +364,23 @@ impl md_core::device::MdDevice for GpuMdSimulation {
         self.config.ops_per_second()
     }
 
-    #[cfg(feature = "fault-inject")]
-    fn resalt(&mut self, salt: u64) {
-        self.fault_plan = self.fault_plan.map(|p| p.with_salt(salt));
+    fn driver(&mut self) -> &mut StepDriver {
+        &mut self.driver
     }
 
-    fn run(
+    fn start(
         &mut self,
         sim: &SimConfig,
-        mut opts: md_core::device::RunOptions<'_>,
-    ) -> Result<md_core::device::DeviceRun, md_core::device::DeviceError> {
-        #[cfg(feature = "fault-inject")]
-        if let Some(plan) = opts.fault_plan {
-            self.fault_plan = Some(plan);
-        }
-        let par = opts.host_parallelism;
-        let (mut sys, start_step): (ParticleSystem<f32>, u64) = match opts.start {
-            Some(cp) => (cp.restore(), cp.step),
-            None => (init::initialize(sim), 0),
-        };
-        // bytes_moved comes from the PCIe byte counters, so observe with a
-        // local monitor when the caller didn't pass one (observation is free:
-        // the counted run is bitwise-identical to the uncounted one).
-        let mut local = sim_perf::PerfMonitor::new();
-        let perf = match opts.perf.take() {
-            Some(p) => p,
-            None => &mut local,
-        };
-        let r = self.run_md_impl(
-            &mut sys,
+        sys: &ParticleSystem<f32>,
+        perf: &mut sim_perf::PerfMonitor,
+    ) -> Result<GpuStep, DeviceError> {
+        Ok(GpuStep::new(
+            self.config,
             sim,
-            opts.steps,
-            crate::reduction::ReductionStrategy::CpuReadback,
-            Some(perf),
-            par,
-        );
-        let b = r.breakdown;
-        let bytes = md_core::device::counter_total(perf, "gpu.pcie.bytes_to_device")
-            + md_core::device::counter_total(perf, "gpu.pcie.bytes_from_device");
-        // The paper's small-N story: everything that exists only because the
-        // GPU sits across a bus versus the work itself.
-        let total = r.sim_seconds.max(f64::MIN_POSITIVE);
-        let run = md_core::device::DeviceRun {
-            sim_seconds: r.sim_seconds,
-            energies: r.energies,
-            checkpoint: md_core::checkpoint::SystemCheckpoint::capture(
-                &sys,
-                start_step + opts.steps as u64,
-            ),
-            attribution: vec![
-                ("shader_compute", b.shader),
-                ("pcie_upload", b.upload),
-                ("pcie_readback", b.readback),
-                ("dispatch_overhead", b.dispatch_overhead),
-                ("cpu_serial", b.cpu),
-                ("gpu_reduction", b.gpu_reduction),
-            ],
-            derived: vec![
-                (
-                    "transfer_overhead_fraction",
-                    (b.upload + b.readback + b.dispatch_overhead) / total,
-                ),
-                (
-                    "compute_fraction",
-                    (b.shader + b.cpu + b.gpu_reduction) / total,
-                ),
-            ],
-            ops: r.total_ops as f64,
-            bytes_moved: bytes,
-            #[cfg(feature = "fault-inject")]
-            faults: r.faults,
-            #[cfg(not(feature = "fault-inject"))]
-            faults: md_core::device::FaultStats::default(),
-        };
-        if let Some(led) = opts.ledger.take() {
-            let label = md_core::device::MdDevice::label(self);
-            md_core::device::ledger_record_run(led, &label, &run, Some(perf));
-        }
-        Ok(run)
+            sys,
+            ReductionStrategy::CpuReadback,
+            perf,
+        ))
     }
 }
 
@@ -452,45 +390,27 @@ impl md_core::device::MdDevice for GpuMdSimulation {
 #[allow(clippy::float_cmp)]
 mod tests {
     use super::*;
+    use md_core::checkpoint::SystemCheckpoint;
+    use md_core::device::{DeviceRun, FaultPlan, MdDevice, RunOptions};
     use md_core::forces::{AllPairsFullKernel, ForceKernel};
+    use md_core::init;
+    use md_core::verlet::VelocityVerlet;
 
-    /// Test-local shorthand over the single run path (the public surface is
-    /// [`md_core::device::MdDevice::run`]).
+    /// Test-local shorthand for the paper's CPU-readback run.
     fn run_md(m: &GpuMdSimulation, sim: &SimConfig, steps: usize) -> GpuRun {
-        m.run_md_with(sim, steps, crate::reduction::ReductionStrategy::CpuReadback)
-    }
-
-    fn run_md_perf(
-        m: &GpuMdSimulation,
-        sim: &SimConfig,
-        steps: usize,
-        perf: &mut sim_perf::PerfMonitor,
-    ) -> GpuRun {
-        let mut sys: ParticleSystem<f32> = init::initialize(sim);
-        m.run_md_impl(
-            &mut sys,
-            sim,
-            steps,
-            crate::reduction::ReductionStrategy::CpuReadback,
-            Some(perf),
-            md_core::device::HostParallelism::Serial,
-        )
+        m.run_md_with(sim, steps, ReductionStrategy::CpuReadback)
+            .unwrap()
     }
 
     fn run_md_from(
-        m: &GpuMdSimulation,
-        sys: &mut ParticleSystem<f32>,
+        m: &mut GpuMdSimulation,
+        start: Option<&SystemCheckpoint>,
         sim: &SimConfig,
         steps: usize,
-    ) -> GpuRun {
-        m.run_md_impl(
-            sys,
-            sim,
-            steps,
-            crate::reduction::ReductionStrategy::CpuReadback,
-            None,
-            md_core::device::HostParallelism::Serial,
-        )
+    ) -> DeviceRun {
+        let mut opts = RunOptions::steps(steps);
+        opts.start = start;
+        m.run(sim, opts).unwrap()
     }
 
     #[test]
@@ -561,18 +481,20 @@ mod tests {
         let sim = SimConfig::reduced_lj(128);
         let plain = run_md(&GpuMdSimulation::geforce_7900gtx(), &sim, 2);
         let mut perf = sim_perf::PerfMonitor::new();
-        let counted = run_md_perf(&GpuMdSimulation::geforce_7900gtx(), &sim, 2, &mut perf);
+        let counted = GpuMdSimulation::geforce_7900gtx()
+            .run(&sim, RunOptions::steps(2).with_perf(&mut perf))
+            .unwrap();
         assert_eq!(
             plain.sim_seconds, counted.sim_seconds,
             "observability is free"
         );
         assert_eq!(plain.energies.total, counted.energies.total);
-        assert_eq!(plain.total_ops, counted.total_ops);
+        assert_eq!(plain.total_ops as f64, counted.ops);
         let fetches = perf.find("gpu.texture.fetches").expect("registered");
         let alu = perf.find("gpu.shader.instructions").expect("registered");
         assert_eq!(
             fetches.value() + alu.value(),
-            counted.total_ops as f64,
+            counted.ops,
             "fetch + alu partition the retired ops"
         );
         assert_eq!(fetches.samples().len(), 3, "prime eval + one per step");
@@ -594,30 +516,26 @@ mod tests {
             perf.find("gpu.readback.stall_seconds")
                 .expect("registered")
                 .value(),
-            counted.breakdown.readback
+            plain.breakdown.readback
         );
     }
 
     #[test]
     fn segmented_run_matches_unsegmented_run_bitwise() {
         let sim = SimConfig::reduced_lj(256);
-        let runner = GpuMdSimulation::geforce_7900gtx();
-        let mut whole: ParticleSystem<f32> = init::initialize(&sim);
-        run_md_from(&runner, &mut whole, &sim, 10);
-        let mut segmented: ParticleSystem<f32> = init::initialize(&sim);
-        run_md_from(&runner, &mut segmented, &sim, 5);
-        run_md_from(&runner, &mut segmented, &sim, 5);
-        assert_eq!(whole.positions, segmented.positions);
-        assert_eq!(whole.velocities, segmented.velocities);
+        let mut runner = GpuMdSimulation::geforce_7900gtx();
+        let whole = run_md_from(&mut runner, None, &sim, 10);
+        let first = run_md_from(&mut runner, None, &sim, 5);
+        let segmented = run_md_from(&mut runner, Some(&first.checkpoint), &sim, 5);
+        assert_eq!(whole.checkpoint, segmented.checkpoint);
     }
 
-    #[cfg(feature = "fault-inject")]
     #[test]
     fn injected_faults_leave_physics_untouched_and_slow_the_run() {
         let sim = SimConfig::reduced_lj(256);
         let clean = run_md(&GpuMdSimulation::geforce_7900gtx(), &sim, 5);
         let faulty = run_md(
-            &GpuMdSimulation::geforce_7900gtx().with_fault_plan(sim_fault::FaultPlan::new(5, 0.3)),
+            &GpuMdSimulation::geforce_7900gtx().with_fault_plan(FaultPlan::new(5, 0.3)),
             &sim,
             5,
         );
@@ -633,12 +551,11 @@ mod tests {
         );
     }
 
-    #[cfg(feature = "fault-inject")]
     #[test]
     fn exhaustion_degrades_instead_of_failing() {
         let sim = SimConfig::reduced_lj(108);
         let run = run_md(
-            &GpuMdSimulation::geforce_7900gtx().with_fault_plan(sim_fault::FaultPlan::new(0, 1.0)),
+            &GpuMdSimulation::geforce_7900gtx().with_fault_plan(FaultPlan::new(0, 1.0)),
             &sim,
             1,
         );
@@ -649,14 +566,12 @@ mod tests {
         );
     }
 
-    #[cfg(feature = "fault-inject")]
     #[test]
     fn fault_schedule_is_reproducible_across_runs() {
         let sim = SimConfig::reduced_lj(108);
         let mk = || {
             run_md(
-                &GpuMdSimulation::geforce_7900gtx()
-                    .with_fault_plan(sim_fault::FaultPlan::new(42, 0.25)),
+                &GpuMdSimulation::geforce_7900gtx().with_fault_plan(FaultPlan::new(42, 0.25)),
                 &sim,
                 3,
             )
@@ -672,27 +587,25 @@ mod tests {
     #[test]
     fn eval_memo_run_is_bitwise_identical_to_baseline() {
         let sim = SimConfig::reduced_lj(256);
-        let memoized = GpuMdSimulation::geforce_7900gtx();
+        let mut memoized = GpuMdSimulation::geforce_7900gtx();
         let mut baseline = GpuMdSimulation::geforce_7900gtx();
-        baseline.set_eval_memo(false);
-        let mut sys_m: ParticleSystem<f32> = init::initialize(&sim);
-        let mut sys_b: ParticleSystem<f32> = init::initialize(&sim);
-        let m = run_md_from(&memoized, &mut sys_m, &sim, 5);
-        let b = run_md_from(&baseline, &mut sys_b, &sim, 5);
-        assert_eq!(sys_m.positions, sys_b.positions);
-        assert_eq!(sys_m.velocities, sys_b.velocities);
+        baseline.driver().shared_eval = false;
+        let m = run_md_from(&mut memoized, None, &sim, 5);
+        let b = run_md_from(&mut baseline, None, &sim, 5);
+        assert_eq!(m.checkpoint, b.checkpoint);
         assert_eq!(m.energies.total, b.energies.total);
         assert_eq!(m.sim_seconds, b.sim_seconds);
-        assert_eq!(m.total_ops, b.total_ops);
+        assert_eq!(m.ops, b.ops);
     }
 
     #[test]
     fn multipass_reduction_same_physics_but_slower() {
-        use crate::reduction::ReductionStrategy;
         let sim = SimConfig::reduced_lj(512);
         let runner = GpuMdSimulation::geforce_7900gtx();
-        let cpu = runner.run_md_with(&sim, 2, ReductionStrategy::CpuReadback);
-        let gpu = runner.run_md_with(&sim, 2, ReductionStrategy::GpuMultiPass);
+        let cpu = run_md(&runner, &sim, 2);
+        let gpu = runner
+            .run_md_with(&sim, 2, ReductionStrategy::GpuMultiPass)
+            .unwrap();
         // Same trajectory: the PE totals agree to f32 summation-order noise,
         // and the accelerations (hence energies) are identical.
         assert!(

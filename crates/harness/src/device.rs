@@ -9,13 +9,12 @@
 //! machine constants the factory bakes in, so editing a device's clock or
 //! pipe count invalidates exactly that device's cached points.
 
-#[cfg(feature = "fault-inject")]
-use cell_be::CellBeDevice;
 use cell_be::{
     CellAccelProbe, CellConfig, CellMd, CellPpeMd, CellRunConfig, SpawnPolicy, SpeKernelVariant,
 };
 use gpu::{GpuConfig, GpuMdSimulation};
-use md_core::device::MdDevice;
+use md_core::device::{FaultPlan, MdDevice};
+use md_core::driver::{CostModel, StepDriver};
 use mta::{MtaConfig, MtaMd, ThreadingMode};
 use opteron::{OpteronConfig, OpteronCpu};
 
@@ -78,22 +77,6 @@ impl DeviceKind {
     /// The best configuration restricted to one SPE.
     pub fn cell_single_spe() -> Self {
         Self::cell(CellRunConfig::single_spe())
-    }
-
-    /// The Cell run configuration for the `Cell` variant.
-    fn cell_run_config(self) -> Option<CellRunConfig> {
-        match self {
-            DeviceKind::Cell {
-                n_spes,
-                policy,
-                variant,
-            } => Some(CellRunConfig {
-                n_spes,
-                policy,
-                variant,
-            }),
-            _ => None,
-        }
     }
 
     /// The device's metric/cache label — identical to what
@@ -266,108 +249,67 @@ impl DeviceKind {
     /// harness that builds concrete device types; everything downstream
     /// drives the trait object.
     pub fn build(self) -> Box<dyn MdDevice> {
-        match self {
-            DeviceKind::Cell { .. } => Box::new(CellMd::paper_blade(
-                self.cell_run_config().expect("cell variant"),
-            )),
-            DeviceKind::CellPpe => Box::new(CellPpeMd::paper_blade()),
-            DeviceKind::CellAccel { variant } => Box::new(CellAccelProbe::paper_blade(variant)),
-            DeviceKind::Gpu { model } => Box::new(GpuMdSimulation::new(model.config())),
-            DeviceKind::Mta { mode } => Box::new(MtaMd::paper_mta2(mode)),
-            DeviceKind::Opteron => Box::new(OpteronCpu::paper_reference()),
-        }
+        self.build_with(StepDriver::default())
     }
 
-    /// [`DeviceKind::build`] with the device's physics-once replay memo
-    /// disabled (DESIGN.md §17): every evaluation runs the interpretive
-    /// per-pair walk instead of the shared wide evaluator. Simulated results
-    /// are bitwise identical to [`DeviceKind::build`] — only host wall-clock
-    /// differs — which is what makes these the denominators of the
-    /// single-run speedups `BENCH_host.json` records. The PPE-only and
-    /// Figure 5 probe paths have no memo; they build unchanged.
+    /// [`DeviceKind::build`] on the interpretive path (DESIGN.md §17): every
+    /// evaluation runs the per-pair walk instead of the shared wide
+    /// evaluator. Simulated results are bitwise identical to
+    /// [`DeviceKind::build`] — only host wall-clock differs — which is what
+    /// makes these the denominators of the single-run speedups
+    /// `BENCH_host.json` records.
     pub fn build_baseline(self) -> Box<dyn MdDevice> {
-        match self {
-            DeviceKind::Cell { .. } => {
-                let mut md = CellMd::paper_blade(self.cell_run_config().expect("cell variant"));
-                md.device.set_eval_memo(false);
-                Box::new(md)
-            }
-            DeviceKind::CellPpe | DeviceKind::CellAccel { .. } => self.build(),
-            DeviceKind::Gpu { model } => {
-                let mut md = GpuMdSimulation::new(model.config());
-                md.set_eval_memo(false);
-                Box::new(md)
-            }
-            DeviceKind::Mta { mode } => {
-                let mut md = MtaMd::paper_mta2(mode);
-                md.sim.set_eval_memo(false);
-                Box::new(md)
-            }
-            DeviceKind::Opteron => {
-                let mut cpu = OpteronCpu::paper_reference();
-                cpu.set_trace_memo(false);
-                Box::new(cpu)
-            }
-        }
+        self.build_with(StepDriver {
+            shared_eval: false,
+            ..StepDriver::default()
+        })
     }
 
-    /// [`DeviceKind::build`] with a deterministic fault schedule armed.
-    /// The PPE-only and Figure 5 probe paths are fault-free by design; the
-    /// plan is ignored there.
-    #[cfg(feature = "fault-inject")]
-    pub fn build_faulted(self, plan: sim_fault::FaultPlan) -> Box<dyn MdDevice> {
-        match self {
-            DeviceKind::Cell { .. } => Box::new(CellMd::new(
-                CellBeDevice::paper_blade().with_fault_plan(plan),
-                self.cell_run_config().expect("cell variant"),
-            )),
-            DeviceKind::CellPpe | DeviceKind::CellAccel { .. } => self.build(),
-            DeviceKind::Gpu { model } => {
-                Box::new(GpuMdSimulation::new(model.config()).with_fault_plan(plan))
-            }
-            DeviceKind::Mta { mode } => Box::new(MtaMd::new(
-                mta::MtaMdSimulation::paper_mta2().with_fault_plan(plan),
-                mode,
-            )),
-            DeviceKind::Opteron => Box::new(OpteronCpu::paper_reference().with_fault_plan(plan)),
-        }
+    /// [`DeviceKind::build`] with a deterministic fault schedule armed. The
+    /// PPE-only and Figure 5 probe paths have no fault sites.
+    pub fn build_faulted(self, plan: FaultPlan) -> Box<dyn MdDevice> {
+        self.build_with(StepDriver {
+            fault_plan: Some(plan),
+            ..StepDriver::default()
+        })
     }
 
-    /// [`DeviceKind::build_faulted`] with the eval memo disabled — the
-    /// fault-injected interpretive baseline `tests/shared_eval.rs` pits the
-    /// memoized path against. Fault schedules key off the simulated run
-    /// structure, which the memo never changes, so the two must agree on
+    /// [`DeviceKind::build_faulted`] on the interpretive path — the
+    /// fault-injected baseline `tests/shared_eval.rs` pits the shared
+    /// evaluator against. Fault schedules key off the simulated run
+    /// structure, which the switch never changes, so the two must agree on
     /// every injected site.
-    #[cfg(feature = "fault-inject")]
-    pub fn build_baseline_faulted(self, plan: sim_fault::FaultPlan) -> Box<dyn MdDevice> {
+    pub fn build_baseline_faulted(self, plan: FaultPlan) -> Box<dyn MdDevice> {
+        self.build_with(StepDriver {
+            fault_plan: Some(plan),
+            shared_eval: false,
+        })
+    }
+
+    /// Construct the machine with the given driver settings.
+    fn build_with(self, driver: StepDriver) -> Box<dyn MdDevice> {
+        fn boxed(mut dev: impl CostModel + 'static, driver: StepDriver) -> Box<dyn MdDevice> {
+            *dev.driver() = driver;
+            Box::new(dev)
+        }
         match self {
-            DeviceKind::Cell { .. } => {
-                let mut md = CellMd::new(
-                    CellBeDevice::paper_blade().with_fault_plan(plan),
-                    self.cell_run_config().expect("cell variant"),
-                );
-                md.device.set_eval_memo(false);
-                Box::new(md)
-            }
-            DeviceKind::CellPpe | DeviceKind::CellAccel { .. } => self.build(),
-            DeviceKind::Gpu { model } => {
-                let mut md = GpuMdSimulation::new(model.config()).with_fault_plan(plan);
-                md.set_eval_memo(false);
-                Box::new(md)
-            }
-            DeviceKind::Mta { mode } => {
-                let mut md = MtaMd::new(
-                    mta::MtaMdSimulation::paper_mta2().with_fault_plan(plan),
-                    mode,
-                );
-                md.sim.set_eval_memo(false);
-                Box::new(md)
-            }
-            DeviceKind::Opteron => {
-                let mut cpu = OpteronCpu::paper_reference().with_fault_plan(plan);
-                cpu.set_trace_memo(false);
-                Box::new(cpu)
-            }
+            DeviceKind::Cell {
+                n_spes,
+                policy,
+                variant,
+            } => boxed(
+                CellMd::paper_blade(CellRunConfig {
+                    n_spes,
+                    policy,
+                    variant,
+                }),
+                driver,
+            ),
+            DeviceKind::CellPpe => boxed(CellPpeMd::paper_blade(), driver),
+            DeviceKind::CellAccel { variant } => Box::new(CellAccelProbe::paper_blade(variant)),
+            DeviceKind::Gpu { model } => boxed(GpuMdSimulation::new(model.config()), driver),
+            DeviceKind::Mta { mode } => boxed(MtaMd::paper_mta2(mode), driver),
+            DeviceKind::Opteron => boxed(OpteronCpu::paper_reference(), driver),
         }
     }
 }

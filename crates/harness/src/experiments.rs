@@ -4,16 +4,15 @@
 //! them through the unified [`MdDevice`](md_core::device::MdDevice) run API —
 //! no per-experiment device construction. Fallible experiments return a typed
 //! [`HarnessError`] instead of panicking; the figure binaries map errors to
-//! nonzero exit codes. With the `fault-inject` feature, [`faulted`] provides
-//! supervised variants of every experiment that complete under injected
-//! device faults.
+//! nonzero exit codes. [`faulted`] provides supervised variants of every
+//! experiment that complete under injected device faults.
 
 use crate::device::{DeviceKind, GpuModel};
 use crate::error::HarnessError;
 use cell_be::{SpawnPolicy, SpeKernelVariant};
 use md_core::device::{DeviceRun, RunOptions};
 use md_core::params::SimConfig;
-use mta::{MtaConfig, MtaMd, MtaMdSimulation, ThreadingMode};
+use mta::{MtaConfig, MtaMd, ThreadingMode};
 
 /// The paper's standard workload: 2048 atoms, 10 time steps.
 pub const PAPER_ATOMS: usize = 2048;
@@ -305,13 +304,10 @@ pub fn xmt_projection(n_atoms: usize, steps: usize, processors: &[usize]) -> Vec
     use md_core::device::MdDevice;
     let sim = SimConfig::reduced_lj(n_atoms);
     let seconds = |config: MtaConfig| {
-        MtaMd::new(
-            MtaMdSimulation::new(config),
-            ThreadingMode::FullyMultithreaded,
-        )
-        .run(&sim, RunOptions::steps(steps))
-        .expect("the MTA device model is infallible")
-        .sim_seconds
+        MtaMd::new(config, ThreadingMode::FullyMultithreaded)
+            .run(&sim, RunOptions::steps(steps))
+            .expect("the MTA device model is infallible")
+            .sim_seconds
     };
     let mut rows = vec![XmtRow {
         label: "MTA-2",
@@ -341,11 +337,10 @@ pub fn xmt_projection(n_atoms: usize, steps: usize, processors: &[usize]) -> Vec
 /// need the cost breakdown use retry-with-fresh-salt and degrade to a
 /// fault-free device when the budget runs out. The point is robustness, not
 /// timing fidelity: reported seconds include recovery and backoff.
-#[cfg(feature = "fault-inject")]
 pub mod faulted {
     use super::*;
     use crate::supervisor::{run_supervised, SupervisedRun, SupervisorConfig};
-    use sim_fault::FaultPlan;
+    use md_core::device::FaultPlan;
 
     /// A fault plan plus the supervision policy applied to every experiment.
     #[derive(Clone, Copy, Debug)]

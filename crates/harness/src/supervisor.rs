@@ -147,8 +147,8 @@ pub struct RecoveryReport {
     pub watchdog_timeouts: u64,
     /// Whether the run finished on the Opteron reference instead.
     pub fell_back: bool,
-    /// Merged per-device fault accounting across all attempts (zero without
-    /// the `fault-inject` feature).
+    /// Merged per-device fault accounting across all attempts (zero when no
+    /// plan is armed).
     pub faults: FaultStats,
     /// Ordered log of everything the supervisor did.
     pub events: Vec<RecoveryEvent>,
@@ -725,7 +725,6 @@ mod tests {
         assert!(run.energies.total.is_finite());
     }
 
-    #[cfg(feature = "fault-inject")]
     mod faulted {
         use super::*;
         use cell_be::CellBeDevice;

@@ -27,8 +27,6 @@ use crate::observables::EnergyReport;
 use crate::params::SimConfig;
 use std::fmt;
 
-// Re-exported so device crates that gate their own `sim-fault` dependency
-// behind a feature can still name the plan/stats types unconditionally.
 pub use sim_fault::{FaultPlan, FaultStats};
 pub use sim_obs::RunLedger;
 pub use sim_perf::PerfMonitor;
@@ -128,8 +126,7 @@ pub fn slab_domains(n_atoms: usize, nodes: usize) -> Vec<DomainRegion> {
 /// ```
 ///
 /// Add a checkpoint to resume (`from_checkpoint`), a monitor to observe
-/// (`with_perf`), or a fault plan to arm injection (`with_fault_plan`;
-/// ignored when the device is built without `fault-inject`).
+/// (`with_perf`), or a fault plan to arm injection (`with_fault_plan`).
 #[derive(Default)]
 pub struct RunOptions<'a> {
     /// Time steps to advance.
@@ -141,7 +138,7 @@ pub struct RunOptions<'a> {
     /// use a fresh monitor per run.
     pub perf: Option<&'a mut PerfMonitor>,
     /// Arms the device's deterministic fault schedule for this and later
-    /// runs. Devices compiled without `fault-inject` ignore it.
+    /// runs.
     pub fault_plan: Option<FaultPlan>,
     /// Host threads the device may use to execute its simulated lanes.
     /// Bitwise-identical results at any setting; see [`HostParallelism`].
@@ -233,8 +230,8 @@ pub struct DeviceRun {
     pub ops: f64,
     /// Bytes moved over the device's off-core links (DMA, PCIe, DRAM).
     pub bytes_moved: f64,
-    /// Injected-fault ledger (zero when fault injection is compiled out or
-    /// unarmed). `exhausted > 0` marks a degraded run.
+    /// Injected-fault ledger (zero when no plan is armed). `exhausted > 0`
+    /// marks a degraded run.
     pub faults: FaultStats,
 }
 

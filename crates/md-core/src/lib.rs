@@ -38,6 +38,7 @@ pub mod bonded;
 pub mod celllist;
 pub mod checkpoint;
 pub mod device;
+pub mod driver;
 pub mod forces;
 pub mod init;
 pub mod io;

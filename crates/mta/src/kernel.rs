@@ -13,15 +13,14 @@
 //!   stream, while the O(N) loops still parallelize. Since step 2 is O(N²),
 //!   the performance gap grows with atom count — exactly Figure 8.
 
-use crate::compiler::{analyze_loop, LoopDesc, ParallelizationDecision};
+use crate::compiler::LoopDesc;
 use crate::config::MtaConfig;
 use crate::memory::FullEmptyMemory;
 use crate::processor::MtaProcessor;
-use md_core::init;
-use md_core::observables::EnergyReport;
+use md_core::device::DeviceError;
+use md_core::driver::{CostModel, CostReport, Eval, FaultKind, FaultSite, StepCost, StepDriver};
 use md_core::params::SimConfig;
 use md_core::system::ParticleSystem;
-use md_core::verlet::VelocityVerlet;
 
 /// Instructions per examined pair in step 2 (loads, minimum image, distance,
 /// cutoff compare, loop bookkeeping — all single-issue on the MTA).
@@ -44,8 +43,8 @@ pub enum ThreadingMode {
 
 /// Where the run's cycles went, summed over every loop the kernel charged
 /// (see [`crate::processor::MtaProcessor::loop_cycle_parts`]). Injected-fault
-/// recovery cycles are folded into `stall`, so
-/// `startup + issue + stall == MtaRun::cycles` to within float rounding.
+/// recovery cycles are folded into `stall`, so `startup + issue + stall`
+/// is the run's cycle count to within float rounding.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct MtaCycleBreakdown {
     /// Parallel-loop spin-up cycles.
@@ -63,333 +62,265 @@ impl MtaCycleBreakdown {
     }
 }
 
-/// Result of a simulated MTA run.
-#[derive(Clone, Debug)]
-pub struct MtaRun {
-    pub sim_seconds: f64,
-    pub cycles: f64,
-    /// Cycle decomposition of the run (startup vs issue vs phantom).
-    pub breakdown: MtaCycleBreakdown,
-    pub energies: EnergyReport,
-    pub mode: ThreadingMode,
-    /// What the compiler decided for each loop (step name, verdict).
-    pub decisions: Vec<(&'static str, ParallelizationDecision)>,
-    /// Total instructions issued — Figure 9's "floating-point computation
-    /// requirements" proxy (the MTA's runtime is proportional to this).
-    pub instructions: f64,
-    /// Injected-fault ledger for this run (zero when no plan is armed).
-    /// `faults.exhausted > 0` means the modeled degraded path was taken;
-    /// the harness supervisor treats that as a failed segment.
-    #[cfg(feature = "fault-inject")]
-    pub faults: sim_fault::FaultStats,
-}
-
-/// MD on the simulated MTA.
-pub struct MtaMdSimulation {
+/// MD on the simulated MTA in one [`ThreadingMode`], so the two Figure 8
+/// configurations appear as distinct devices. Physics is mode-independent
+/// (the modes differ only in how loops are scheduled); runtimes differ
+/// enormously.
+pub struct MtaMd {
     pub processor: MtaProcessor,
-    /// Physics-once replay memo (DESIGN.md §17): when enabled (the default)
-    /// each stream chunk's gather row is evaluated through the shared
-    /// batched kernel instead of the scalar interpretive row. The loop cost
-    /// model is untouched — it is already a closed form in the interaction
-    /// count, which the shared kernel reproduces exactly — so sim-seconds,
-    /// energies, and counters are bitwise identical either way.
-    eval_memo: bool,
-    /// Armed fault schedule; `None` runs fault-free (see DESIGN.md §9).
-    #[cfg(feature = "fault-inject")]
-    pub fault_plan: Option<sim_fault::FaultPlan>,
+    pub mode: ThreadingMode,
+    driver: StepDriver,
 }
 
-impl MtaMdSimulation {
-    pub fn new(config: MtaConfig) -> Self {
+impl MtaMd {
+    pub fn new(config: MtaConfig, mode: ThreadingMode) -> Self {
         Self {
             processor: MtaProcessor::new(config),
-            eval_memo: true,
-            #[cfg(feature = "fault-inject")]
-            fault_plan: None,
-        }
-    }
-
-    /// Enable or disable the shared-eval replay memo.
-    pub fn set_eval_memo(&mut self, enabled: bool) {
-        self.eval_memo = enabled;
-    }
-
-    pub fn paper_mta2() -> Self {
-        Self::new(MtaConfig::paper_mta2())
-    }
-
-    /// Arm a deterministic fault schedule for subsequent `run_md*` calls.
-    #[cfg(feature = "fault-inject")]
-    #[must_use]
-    pub fn with_fault_plan(mut self, plan: sim_fault::FaultPlan) -> Self {
-        self.fault_plan = Some(plan);
-        self
-    }
-
-    /// Run `steps` time steps in the given threading mode, continuing from
-    /// caller-owned state. Physics is mode-independent (the modes differ
-    /// only in how loops are scheduled); runtimes differ enormously. This is
-    /// the single run path behind [`md_core::device::MdDevice::run`] on
-    /// [`MtaMd`].
-    fn run_md_impl(
-        &self,
-        sys: &mut ParticleSystem<f64>,
-        sim: &SimConfig,
-        steps: usize,
-        mode: ThreadingMode,
-        mut perf: Option<&mut sim_perf::PerfMonitor>,
-        par: md_core::device::HostParallelism,
-    ) -> MtaRun {
-        let n = sys.n();
-        let vv = VelocityVerlet::new(sim.dt);
-        let sub = sim.substrate::<f64>();
-
-        let mut cycles = 0.0f64;
-        let mut instructions = 0.0f64;
-        let mut breakdown = MtaCycleBreakdown::default();
-        // Stream-occupancy integral: streams × cycles summed over loops.
-        // Monotonic by construction; average occupancy falls out as
-        // occupancy_cycles / cycles.
-        let mut occupancy_cycles = 0.0f64;
-        #[allow(unused_mut)] // mutated only under fault-inject
-        let mut hotspot_retry_cycles = 0.0f64;
-        let handles = perf.as_deref_mut().map(PerfHandles::register);
-        let mut decisions: Vec<(&'static str, ParallelizationDecision)> = Vec::new();
-        let record =
-            |name: &'static str,
-             d: ParallelizationDecision,
-             decisions: &mut Vec<(&'static str, ParallelizationDecision)>| {
-                if !decisions.iter().any(|(n2, _)| *n2 == name) {
-                    decisions.push((name, d));
-                }
-            };
-        // Charge one loop: total cycles (bitwise the same value
-        // `loop_cycles` returns — the breakdown is derived, not a reprice),
-        // instruction count, the cycle decomposition, and the occupancy
-        // integral. Returns the loop's cycles for fault-unit sizing.
-        let charge = |l: &LoopDesc,
-                      cycles: &mut f64,
-                      instructions: &mut f64,
-                      breakdown: &mut MtaCycleBreakdown,
-                      occupancy_cycles: &mut f64|
-         -> f64 {
-            let parts = self.processor.loop_cycle_parts(l);
-            *cycles += parts.cycles;
-            *instructions += l.total_instructions();
-            breakdown.startup += parts.startup;
-            breakdown.issue += parts.issue;
-            breakdown.stall += parts.stall;
-            *occupancy_cycles += parts.streams as f64 * parts.cycles;
-            parts.cycles
-        };
-
-        // Shared PE accumulator in tagged memory (the restructured reduction
-        // uses full/empty atomic adds from every stream).
-        let mut tagged = FullEmptyMemory::new_full(1, 0.0);
-
-        // One fault session per run. The physics pass below is computed on
-        // pristine data regardless of the schedule; injected failures only
-        // charge the cost of re-issued work.
-        #[cfg(feature = "fault-inject")]
-        let mut fault = self.fault_plan.map(sim_fault::FaultSession::new);
-
-        let mut pe = 0.0f64;
-        for eval in 0..=steps {
-            if eval > 0 {
-                let l = self.integration_loop("step1-advance-velocities", n);
-                record(l.name, analyze_loop(&l), &mut decisions);
-                charge(
-                    &l,
-                    &mut cycles,
-                    &mut instructions,
-                    &mut breakdown,
-                    &mut occupancy_cycles,
-                );
-                vv.kick_drift(sys);
-            }
-
-            // Step 2: forces. Each simulated stream owns one atom's gather
-            // row; rows run as an order-preserving indexed map (host-parallel
-            // when requested), then the reductions — the full/empty PE
-            // accumulator and the interaction count — fold serially in row
-            // order, so the result is bitwise identical at any thread count.
-            tagged.write(0, 0.0);
-            let mut interactions: u64 = 0;
-            let box_len = sys.box_len;
-            let inv_m = sys.mass.recip();
-            let soa = md_core::forces::SoaPositions::from_positions(&sys.positions);
-            // Physics-once split (DESIGN.md §17): under the memo each
-            // stream's row runs the shared batched kernel — bitwise the
-            // scalar row, so the closed-form loop charge below replays
-            // unchanged.
-            let rows = md_core::parallel::map_indexed(par, n, |i| {
-                if self.eval_memo {
-                    md_core::shared_eval::host_row(&soa, i, box_len, &sub, inv_m)
-                } else {
-                    md_core::forces::gather_row(&soa, i, box_len, &sub, inv_m)
-                }
-            });
-            for (i, row) in rows.into_iter().enumerate() {
-                interactions += row.interactions;
-                sys.accelerations[i] = row.acc;
-                // Reduction inside the loop body: full/empty atomic add.
-                tagged
-                    .atomic_add(0, row.pe)
-                    // sim-vet: allow(panic-discipline): full/empty-bit protocol violation is a simulator bug, not a recoverable data error
-                    .expect("accumulator protocol is lock/unlock per atom");
-            }
-            pe = tagged.read(0) * 0.5;
-
-            // Interaction cost: the LJ baseline plus whatever extra work the
-            // scenario's potential costs (zero for the paper-faithful run).
-            let per_iter = (n as f64 - 1.0) * INSTR_PER_PAIR
-                + (interactions as f64 / n as f64) * (INSTR_PER_INTERACTION + sub.extra_eval_ops())
-                + self.processor.config.sync_instructions;
-            let step2 = LoopDesc {
-                name: "step2-forces",
-                iterations: n as u64,
-                instructions_per_iteration: per_iter,
-                // loads dominate the gather loop
-                memory_fraction: 0.4,
-                has_unresolved_reduction: true,
-                pragma_no_dependence: mode == ThreadingMode::FullyMultithreaded,
-            };
-            record(step2.name, analyze_loop(&step2), &mut decisions);
-            #[cfg_attr(not(feature = "fault-inject"), allow(unused_variables))]
-            let step2_cycles = charge(
-                &step2,
-                &mut cycles,
-                &mut instructions,
-                &mut breakdown,
-                &mut occupancy_cycles,
-            );
-            #[cfg(feature = "fault-inject")]
-            {
-                let cfg = &self.processor.config;
-                // The runtime hands the loop fewer streams than requested:
-                // the starved share of the iteration space is re-issued,
-                // paying the loop startup again plus a quarter of the loop.
-                let starvation_extra = resolve_degradable(
-                    &mut fault,
-                    sim_fault::FaultSite::new(
-                        sim_fault::FaultKind::StreamStarvation,
-                        eval as u64,
-                        0,
-                        0,
-                    ),
-                    cfg.loop_startup_cycles + 0.25 * step2_cycles,
-                    cfg.clock_hz,
-                );
-                cycles += starvation_extra;
-                breakdown.stall += starvation_extra;
-                // Hot-spotting on the full/empty PE accumulator: every
-                // stream retries its synchronized add once.
-                let hotspot_extra = resolve_degradable(
-                    &mut fault,
-                    sim_fault::FaultSite::new(
-                        sim_fault::FaultKind::HotSpotRetry,
-                        eval as u64,
-                        0,
-                        1,
-                    ),
-                    cfg.sync_instructions
-                        * cfg.stream_issue_interval
-                        * cfg.streams_per_processor as f64,
-                    cfg.clock_hz,
-                );
-                cycles += hotspot_extra;
-                breakdown.stall += hotspot_extra;
-                hotspot_retry_cycles += hotspot_extra;
-            }
-
-            if eval > 0 {
-                let l = self.integration_loop("step3-4-move-update", n);
-                record(l.name, analyze_loop(&l), &mut decisions);
-                charge(
-                    &l,
-                    &mut cycles,
-                    &mut instructions,
-                    &mut breakdown,
-                    &mut occupancy_cycles,
-                );
-                vv.kick(sys);
-
-                // Ensemble work: the thermostat's velocity rescale is one
-                // more O(N) parallel loop. Absent under NVE, so the
-                // paper-faithful runs charge (and record) nothing.
-                let ens_ops = sub.extra_step_ops_per_atom();
-                if ens_ops > 0.0 {
-                    let l = LoopDesc {
-                        name: "step6-thermostat",
-                        iterations: n as u64,
-                        instructions_per_iteration: ens_ops,
-                        memory_fraction: 0.3,
-                        has_unresolved_reduction: false,
-                        pragma_no_dependence: false,
-                    };
-                    record(l.name, analyze_loop(&l), &mut decisions);
-                    charge(
-                        &l,
-                        &mut cycles,
-                        &mut instructions,
-                        &mut breakdown,
-                        &mut occupancy_cycles,
-                    );
-                }
-                sub.apply_thermostat(sys);
-
-                // Step 5: kinetic/total energies (parallelized without code
-                // modification, per the paper).
-                let l = LoopDesc {
-                    name: "step5-energies",
-                    iterations: n as u64,
-                    instructions_per_iteration: INSTR_ENERGY,
-                    memory_fraction: 0.3,
-                    has_unresolved_reduction: false,
-                    pragma_no_dependence: false,
-                };
-                record(l.name, analyze_loop(&l), &mut decisions);
-                charge(
-                    &l,
-                    &mut cycles,
-                    &mut instructions,
-                    &mut breakdown,
-                    &mut occupancy_cycles,
-                );
-            }
-
-            if let (Some(p), Some(h)) = (perf.as_deref_mut(), handles) {
-                p.record_total(h.instructions, instructions);
-                p.record_total(h.startup, breakdown.startup);
-                p.record_total(h.issue, breakdown.issue);
-                p.record_total(h.phantom, breakdown.stall);
-                p.record_total(h.occupancy, occupancy_cycles);
-                p.record_total(h.hotspot_retries, hotspot_retry_cycles);
-                p.sample_all(cycles / self.processor.config.clock_hz);
-            }
-        }
-
-        MtaRun {
-            sim_seconds: cycles / self.processor.config.clock_hz,
-            cycles,
-            breakdown,
-            energies: EnergyReport::measure(sys, pe),
             mode,
-            decisions,
-            instructions,
-            #[cfg(feature = "fault-inject")]
-            faults: fault.map_or_else(sim_fault::FaultStats::default, |f| f.stats()),
+            driver: StepDriver::default(),
         }
     }
 
-    fn integration_loop(&self, name: &'static str, n: usize) -> LoopDesc {
-        LoopDesc {
-            name,
-            iterations: n as u64,
-            instructions_per_iteration: INSTR_INTEGRATE,
-            memory_fraction: 0.3,
-            has_unresolved_reduction: false,
-            pragma_no_dependence: false,
+    /// The paper's 40-processor MTA-2 in the given threading mode.
+    pub fn paper_mta2(mode: ThreadingMode) -> Self {
+        Self::new(MtaConfig::paper_mta2(), mode)
+    }
+}
+
+/// One O(N) loop of the integration steps.
+fn per_atom_loop(name: &'static str, n: usize, instructions_per_iteration: f64) -> LoopDesc {
+    LoopDesc {
+        name,
+        iterations: n as u64,
+        instructions_per_iteration,
+        memory_fraction: 0.3,
+        has_unresolved_reduction: false,
+        pragma_no_dependence: false,
+    }
+}
+
+/// The step-2 force loop: the PE reduction the compiler cannot resolve,
+/// parallelized only under the paper's `assert no dependence` pragma.
+fn force_loop(n: usize, instructions_per_iteration: f64, mode: ThreadingMode) -> LoopDesc {
+    LoopDesc {
+        name: "step2-forces",
+        iterations: n as u64,
+        instructions_per_iteration,
+        // loads dominate the gather loop
+        memory_fraction: 0.4,
+        has_unresolved_reduction: true,
+        pragma_no_dependence: mode == ThreadingMode::FullyMultithreaded,
+    }
+}
+
+/// One run's cost accounting: the five-step kernel as parallel loops.
+pub struct MtaStep<'a> {
+    processor: &'a MtaProcessor,
+    mode: ThreadingMode,
+    n: usize,
+    /// Per-atom instructions of the ensemble's thermostat (0 under NVE).
+    ens_ops: f64,
+    cycles: f64,
+    instructions: f64,
+    breakdown: MtaCycleBreakdown,
+    /// Stream-occupancy integral: streams × cycles summed over loops.
+    /// Monotonic by construction; average occupancy falls out as
+    /// occupancy_cycles / cycles.
+    occupancy_cycles: f64,
+    hotspot_retry_cycles: f64,
+    /// Shared PE accumulator in tagged memory (the restructured reduction
+    /// uses full/empty atomic adds from every stream).
+    tagged: FullEmptyMemory,
+    handles: PerfHandles,
+}
+
+impl MtaStep<'_> {
+    /// Charge one loop: total cycles (bitwise the same value `loop_cycles`
+    /// returns — the breakdown is derived, not a reprice), instruction
+    /// count, the cycle decomposition, and the occupancy integral. Returns
+    /// the loop's cycles for fault-unit sizing.
+    fn charge(&mut self, l: &LoopDesc) -> f64 {
+        let parts = self.processor.loop_cycle_parts(l);
+        self.cycles += parts.cycles;
+        self.instructions += l.total_instructions();
+        self.breakdown.startup += parts.startup;
+        self.breakdown.issue += parts.issue;
+        self.breakdown.stall += parts.stall;
+        self.occupancy_cycles += parts.streams as f64 * parts.cycles;
+        parts.cycles
+    }
+}
+
+impl CostModel for MtaMd {
+    type Real = f64;
+    type Run<'a> = MtaStep<'a>;
+
+    fn label(&self) -> String {
+        match self.mode {
+            ThreadingMode::FullyMultithreaded => "mta2-full-mt".to_string(),
+            ThreadingMode::PartiallyMultithreaded => "mta2-partial-mt".to_string(),
+        }
+    }
+
+    /// One instruction per processor per cycle, fully saturated.
+    fn peak_ops_per_second(&self) -> f64 {
+        let c = &self.processor.config;
+        c.clock_hz * c.n_processors as f64
+    }
+
+    fn driver(&mut self) -> &mut StepDriver {
+        &mut self.driver
+    }
+
+    fn start<'a>(
+        &'a mut self,
+        sim: &SimConfig,
+        sys: &ParticleSystem<f64>,
+        perf: &mut sim_perf::PerfMonitor,
+    ) -> Result<MtaStep<'a>, DeviceError> {
+        Ok(MtaStep {
+            processor: &self.processor,
+            mode: self.mode,
+            n: sys.n(),
+            ens_ops: sim.substrate::<f64>().extra_step_ops_per_atom(),
+            cycles: 0.0,
+            instructions: 0.0,
+            breakdown: MtaCycleBreakdown::default(),
+            occupancy_cycles: 0.0,
+            hotspot_retry_cycles: 0.0,
+            tagged: FullEmptyMemory::new_full(1, 0.0),
+            handles: PerfHandles::register(perf),
+        })
+    }
+}
+
+impl StepCost for MtaStep<'_> {
+    type Real = f64;
+
+    fn charge_drift(&mut self) {
+        self.charge(&per_atom_loop(
+            "step1-advance-velocities",
+            self.n,
+            INSTR_INTEGRATE,
+        ));
+    }
+
+    /// Step 2: forces. Each simulated stream owns one atom's gather row;
+    /// rows run as an order-preserving indexed map (host-parallel when
+    /// requested), then the reductions — the full/empty PE accumulator and
+    /// the interaction count — fold serially in row order, so the result is
+    /// bitwise identical at any thread count.
+    fn evaluate(&mut self, e: Eval<'_, f64>) -> Result<f64, DeviceError> {
+        let n = self.n;
+        self.tagged.write(0, 0.0);
+        let mut interactions: u64 = 0;
+        let inv_m = e.mass.recip();
+        let soa = md_core::forces::SoaPositions::from_positions(e.positions);
+        // Physics-once split (DESIGN.md §17): under the shared-eval switch
+        // each stream's row runs the shared batched kernel — bitwise the
+        // scalar row, so the closed-form loop charge below replays unchanged.
+        let rows = md_core::parallel::map_indexed(e.par, n, |i| {
+            if e.shared_eval {
+                md_core::shared_eval::host_row(&soa, i, e.box_len, e.sub, inv_m)
+            } else {
+                md_core::forces::gather_row(&soa, i, e.box_len, e.sub, inv_m)
+            }
+        });
+        for (acc, row) in e.accelerations.iter_mut().zip(rows) {
+            interactions += row.interactions;
+            *acc = row.acc;
+            // Reduction inside the loop body: full/empty atomic add.
+            self.tagged
+                .atomic_add(0, row.pe)
+                .map_err(|err| DeviceError::Failed(err.to_string()))?;
+        }
+        let pe = self.tagged.read(0) * 0.5;
+
+        // Interaction cost: the LJ baseline plus whatever extra work the
+        // scenario's potential costs (zero for the paper-faithful run).
+        let cfg = &self.processor.config;
+        let per_iter = (n as f64 - 1.0) * INSTR_PER_PAIR
+            + (interactions as f64 / n as f64) * (INSTR_PER_INTERACTION + e.sub.extra_eval_ops())
+            + cfg.sync_instructions;
+        let step2_cycles = self.charge(&force_loop(n, per_iter, self.mode));
+
+        // The runtime hands the loop fewer streams than requested: the
+        // starved share of the iteration space is re-issued, paying the loop
+        // startup again plus a quarter of the loop.
+        let cfg = &self.processor.config;
+        let starvation_extra = e.faults.degradable(
+            FaultSite::new(FaultKind::StreamStarvation, e.index, 0, 0),
+            cfg.loop_startup_cycles + 0.25 * step2_cycles,
+            cfg.clock_hz,
+        );
+        self.cycles += starvation_extra;
+        self.breakdown.stall += starvation_extra;
+        // Hot-spotting on the full/empty PE accumulator: every stream
+        // retries its synchronized add once.
+        let hotspot_extra = e.faults.degradable(
+            FaultSite::new(FaultKind::HotSpotRetry, e.index, 0, 1),
+            cfg.sync_instructions * cfg.stream_issue_interval * cfg.streams_per_processor as f64,
+            cfg.clock_hz,
+        );
+        self.cycles += hotspot_extra;
+        self.breakdown.stall += hotspot_extra;
+        self.hotspot_retry_cycles += hotspot_extra;
+        Ok(pe)
+    }
+
+    fn charge_kick(&mut self) {
+        self.charge(&per_atom_loop(
+            "step3-4-move-update",
+            self.n,
+            INSTR_INTEGRATE,
+        ));
+        // Ensemble work: the thermostat's velocity rescale is one more O(N)
+        // parallel loop. Absent under NVE, so the paper-faithful runs
+        // charge nothing.
+        if self.ens_ops > 0.0 {
+            self.charge(&per_atom_loop("step6-thermostat", self.n, self.ens_ops));
+        }
+        // Step 5: kinetic/total energies (parallelized without code
+        // modification, per the paper).
+        self.charge(&per_atom_loop("step5-energies", self.n, INSTR_ENERGY));
+    }
+
+    fn sample(&mut self, p: &mut sim_perf::PerfMonitor) -> f64 {
+        let h = self.handles;
+        p.record_total(h.instructions, self.instructions);
+        p.record_total(h.startup, self.breakdown.startup);
+        p.record_total(h.issue, self.breakdown.issue);
+        p.record_total(h.phantom, self.breakdown.stall);
+        p.record_total(h.occupancy, self.occupancy_cycles);
+        p.record_total(h.hotspot_retries, self.hotspot_retry_cycles);
+        self.cycles / self.processor.config.clock_hz
+    }
+
+    fn finish(&mut self, _perf: &sim_perf::PerfMonitor) -> CostReport {
+        let clk = self.processor.config.clock_hz;
+        let sim_seconds = self.cycles / clk;
+        let b = self.breakdown;
+        let phantom_fraction = if sim_seconds == 0.0 {
+            0.0
+        } else {
+            (b.stall / clk) / sim_seconds
+        };
+        let mut derived = vec![("phantom_fraction", phantom_fraction)];
+        if self.cycles > 0.0 {
+            derived.push(("avg_stream_occupancy", self.occupancy_cycles / self.cycles));
+        }
+        CostReport {
+            sim_seconds,
+            attribution: vec![
+                ("issue", b.issue / clk),
+                ("loop_startup", b.startup / clk),
+                ("phantom_stall", b.stall / clk),
+            ],
+            derived,
+            ops: self.instructions,
+            // All traffic is word-granular loads the cycle model already
+            // charges, so there are no off-node bytes to report.
+            bytes_moved: 0.0,
         }
     }
 }
@@ -418,204 +349,59 @@ impl PerfHandles {
     }
 }
 
-/// Apply the armed fault schedule to one injection site, returning the extra
-/// cycles to charge. The MTA runner is infallible, so retry-budget
-/// exhaustion degrades instead of erroring: a modeled slow path (one
-/// conservative re-issue at 4x cost) is charged and
-/// `FaultStats::exhausted` is incremented — the harness supervisor treats a
-/// nonzero count as a failed segment.
-#[cfg(feature = "fault-inject")]
-fn resolve_degradable(
-    fault: &mut Option<sim_fault::FaultSession>,
-    site: sim_fault::FaultSite,
-    unit_cycles: f64,
-    clock_hz: f64,
-) -> f64 {
-    let Some(sess) = fault.as_mut() else {
-        return 0.0;
-    };
-    let out = sess.outcome(site);
-    let mut extra = unit_cycles * f64::from(out.failures);
-    if out.exhausted {
-        extra += 4.0 * unit_cycles;
-    }
-    if extra > 0.0 {
-        sess.charge(extra / clock_hz);
-    }
-    extra
-}
-
-/// An [`MtaMdSimulation`] bound to one [`ThreadingMode`], so the two Figure 8
-/// configurations appear as distinct devices behind the device-neutral
-/// [`md_core::device::MdDevice`] interface.
-pub struct MtaMd {
-    pub sim: MtaMdSimulation,
-    pub mode: ThreadingMode,
-}
-
-impl MtaMd {
-    pub fn new(sim: MtaMdSimulation, mode: ThreadingMode) -> Self {
-        Self { sim, mode }
-    }
-
-    /// The paper's 40-processor MTA-2 in the given threading mode.
-    pub fn paper_mta2(mode: ThreadingMode) -> Self {
-        Self::new(MtaMdSimulation::paper_mta2(), mode)
-    }
-}
-
-impl md_core::device::MdDevice for MtaMd {
-    fn label(&self) -> String {
-        match self.mode {
-            ThreadingMode::FullyMultithreaded => "mta2-full-mt".to_string(),
-            ThreadingMode::PartiallyMultithreaded => "mta2-partial-mt".to_string(),
-        }
-    }
-
-    /// One instruction per processor per cycle, fully saturated.
-    fn peak_ops_per_second(&self) -> f64 {
-        let c = &self.sim.processor.config;
-        c.clock_hz * c.n_processors as f64
-    }
-
-    #[cfg(feature = "fault-inject")]
-    fn resalt(&mut self, salt: u64) {
-        self.sim.fault_plan = self.sim.fault_plan.map(|p| p.with_salt(salt));
-    }
-
-    fn run(
-        &mut self,
-        sim: &SimConfig,
-        mut opts: md_core::device::RunOptions<'_>,
-    ) -> Result<md_core::device::DeviceRun, md_core::device::DeviceError> {
-        #[cfg(feature = "fault-inject")]
-        if let Some(plan) = opts.fault_plan {
-            self.sim.fault_plan = Some(plan);
-        }
-        let (mut sys, start_step): (ParticleSystem<f64>, u64) = match opts.start {
-            Some(cp) => (cp.restore(), cp.step),
-            None => (init::initialize(sim), 0),
-        };
-        // Stream occupancy is only reported through the counter layer, so
-        // observe with a local monitor when the caller didn't pass one
-        // (observation is free: the counted run is bitwise-identical).
-        let mut local = sim_perf::PerfMonitor::new();
-        let perf = match opts.perf.take() {
-            Some(p) => p,
-            None => &mut local,
-        };
-        let r = self.sim.run_md_impl(
-            &mut sys,
-            sim,
-            opts.steps,
-            self.mode,
-            Some(perf),
-            opts.host_parallelism,
-        );
-        let clk = self.sim.processor.config.clock_hz;
-        let phantom_fraction = if r.sim_seconds == 0.0 {
-            0.0
-        } else {
-            (r.breakdown.stall / clk) / r.sim_seconds
-        };
-        let mut derived = vec![("phantom_fraction", phantom_fraction)];
-        if r.cycles > 0.0 {
-            let occ = md_core::device::counter_total(perf, "mta.stream.occupancy_cycles");
-            derived.push(("avg_stream_occupancy", occ / r.cycles));
-        }
-        let run = md_core::device::DeviceRun {
-            sim_seconds: r.sim_seconds,
-            energies: r.energies,
-            checkpoint: md_core::checkpoint::SystemCheckpoint::capture(
-                &sys,
-                start_step + opts.steps as u64,
-            ),
-            attribution: vec![
-                ("issue", r.breakdown.issue / clk),
-                ("loop_startup", r.breakdown.startup / clk),
-                ("phantom_stall", r.breakdown.stall / clk),
-            ],
-            derived,
-            // All traffic is word-granular loads the cycle model already
-            // charges, so there are no off-node bytes to report.
-            ops: r.instructions,
-            bytes_moved: 0.0,
-            #[cfg(feature = "fault-inject")]
-            faults: r.faults,
-            #[cfg(not(feature = "fault-inject"))]
-            faults: md_core::device::FaultStats::default(),
-        };
-        if let Some(led) = opts.ledger.take() {
-            let label = md_core::device::MdDevice::label(self);
-            md_core::device::ledger_record_run(led, &label, &run, Some(perf));
-        }
-        Ok(run)
-    }
-}
-
 #[cfg(test)]
 // Tests assert *bitwise* f64 equality on purpose: identical runs must
 // produce identical results, not merely close ones (DESIGN.md §4).
 #[allow(clippy::float_cmp)]
 mod tests {
     use super::*;
+    use crate::compiler::analyze_loop;
+    use md_core::checkpoint::SystemCheckpoint;
+    use md_core::device::{DeviceRun, FaultPlan, MdDevice, RunOptions};
     use md_core::forces::{AllPairsFullKernel, ForceKernel};
+    use md_core::init;
+    use md_core::observables::EnergyReport;
+    use md_core::verlet::VelocityVerlet;
+    use sim_perf::PerfMonitor;
 
-    /// Test-local shorthand over the single run path (the public surface is
-    /// [`md_core::device::MdDevice::run`] on [`MtaMd`]).
-    fn run_md(m: &MtaMdSimulation, sim: &SimConfig, steps: usize, mode: ThreadingMode) -> MtaRun {
-        let mut sys: ParticleSystem<f64> = init::initialize(sim);
-        m.run_md_impl(
-            &mut sys,
-            sim,
-            steps,
-            mode,
-            None,
-            md_core::device::HostParallelism::Serial,
-        )
+    /// A run through the driver, with its counters.
+    struct Counted {
+        run: DeviceRun,
+        perf: PerfMonitor,
     }
 
-    fn run_md_perf(
-        m: &MtaMdSimulation,
-        sim: &SimConfig,
-        steps: usize,
-        mode: ThreadingMode,
-        perf: &mut sim_perf::PerfMonitor,
-    ) -> MtaRun {
-        let mut sys: ParticleSystem<f64> = init::initialize(sim);
-        m.run_md_impl(
-            &mut sys,
-            sim,
-            steps,
-            mode,
-            Some(perf),
-            md_core::device::HostParallelism::Serial,
-        )
+    impl Counted {
+        fn counter(&self, name: &str) -> f64 {
+            self.perf.find(name).unwrap().value()
+        }
+
+        fn cycles(&self) -> f64 {
+            self.run.sim_seconds * MtaConfig::paper_mta2().clock_hz
+        }
     }
 
     fn run_md_from(
-        m: &MtaMdSimulation,
-        sys: &mut ParticleSystem<f64>,
+        m: &mut MtaMd,
         sim: &SimConfig,
+        start: Option<&SystemCheckpoint>,
         steps: usize,
-        mode: ThreadingMode,
-    ) -> MtaRun {
-        m.run_md_impl(
-            sys,
-            sim,
-            steps,
-            mode,
-            None,
-            md_core::device::HostParallelism::Serial,
-        )
+    ) -> Counted {
+        let mut perf = PerfMonitor::new();
+        let mut opts = RunOptions::steps(steps).with_perf(&mut perf);
+        opts.start = start;
+        let run = m.run(sim, opts).unwrap();
+        Counted { run, perf }
+    }
+
+    fn run_md(sim: &SimConfig, steps: usize, mode: ThreadingMode) -> Counted {
+        run_md_from(&mut MtaMd::paper_mta2(mode), sim, None, steps)
     }
 
     #[test]
     fn physics_matches_reference_and_is_mode_independent() {
         let sim = SimConfig::reduced_lj(108);
-        let m = MtaMdSimulation::paper_mta2();
-        let full = run_md(&m, &sim, 3, ThreadingMode::FullyMultithreaded);
-        let partial = run_md(&m, &sim, 3, ThreadingMode::PartiallyMultithreaded);
+        let full = run_md(&sim, 3, ThreadingMode::FullyMultithreaded).run;
+        let partial = run_md(&sim, 3, ThreadingMode::PartiallyMultithreaded).run;
         assert_eq!(full.energies.total, partial.energies.total);
 
         let mut sys: ParticleSystem<f64> = init::initialize(&sim);
@@ -638,9 +424,8 @@ mod tests {
     #[test]
     fn figure8_fully_mt_much_faster() {
         let sim = SimConfig::reduced_lj(256);
-        let m = MtaMdSimulation::paper_mta2();
-        let full = run_md(&m, &sim, 2, ThreadingMode::FullyMultithreaded);
-        let partial = run_md(&m, &sim, 2, ThreadingMode::PartiallyMultithreaded);
+        let full = run_md(&sim, 2, ThreadingMode::FullyMultithreaded).run;
+        let partial = run_md(&sim, 2, ThreadingMode::PartiallyMultithreaded).run;
         let ratio = partial.sim_seconds / full.sim_seconds;
         assert!(
             ratio > 10.0,
@@ -650,11 +435,10 @@ mod tests {
 
     #[test]
     fn figure8_gap_grows_with_atoms() {
-        let m = MtaMdSimulation::paper_mta2();
         let gap = |n: usize| {
             let sim = SimConfig::reduced_lj(n);
-            let full = run_md(&m, &sim, 1, ThreadingMode::FullyMultithreaded);
-            let partial = run_md(&m, &sim, 1, ThreadingMode::PartiallyMultithreaded);
+            let full = run_md(&sim, 1, ThreadingMode::FullyMultithreaded).run;
+            let partial = run_md(&sim, 1, ThreadingMode::PartiallyMultithreaded).run;
             partial.sim_seconds - full.sim_seconds
         };
         assert!(gap(1024) > 10.0 * gap(256), "absolute gap grows ~N²");
@@ -662,39 +446,27 @@ mod tests {
 
     #[test]
     fn compiler_decisions_reported() {
-        let sim = SimConfig::reduced_lj(108);
-        let m = MtaMdSimulation::paper_mta2();
-        let partial = run_md(&m, &sim, 1, ThreadingMode::PartiallyMultithreaded);
-        let step2 = partial
-            .decisions
-            .iter()
-            .find(|(n, _)| *n == "step2-forces")
-            .expect("step 2 analyzed");
-        assert!(!step2.1.parallel);
-        let others_parallel = partial
-            .decisions
-            .iter()
-            .filter(|(n, _)| *n != "step2-forces")
-            .all(|(_, d)| d.parallel);
-        assert!(others_parallel, "rest of the kernel parallelizes untouched");
-
-        let full = run_md(&m, &sim, 1, ThreadingMode::FullyMultithreaded);
-        let step2 = full
-            .decisions
-            .iter()
-            .find(|(n, _)| *n == "step2-forces")
-            .unwrap();
-        assert!(step2.1.parallel);
+        // Partial mode: the compiler serializes step 2 on the unresolved PE
+        // reduction; the rest of the kernel parallelizes untouched.
+        let step2 = force_loop(108, 100.0, ThreadingMode::PartiallyMultithreaded);
+        assert!(!analyze_loop(&step2).parallel);
+        for name in [
+            "step1-advance-velocities",
+            "step3-4-move-update",
+            "step5-energies",
+        ] {
+            assert!(analyze_loop(&per_atom_loop(name, 108, INSTR_INTEGRATE)).parallel);
+        }
+        let step2 = force_loop(108, 100.0, ThreadingMode::FullyMultithreaded);
+        assert!(analyze_loop(&step2).parallel);
     }
 
     #[test]
     fn figure9_runtime_tracks_instruction_count() {
         // The MTA's runtime growth must be proportional to the instruction
         // (≈ flop) growth — no cache knee.
-        let m = MtaMdSimulation::paper_mta2();
         let run = |n: usize| {
             run_md(
-                &m,
                 &SimConfig::reduced_lj(n),
                 1,
                 ThreadingMode::FullyMultithreaded,
@@ -702,8 +474,8 @@ mod tests {
         };
         let small = run(256);
         let large = run(2048);
-        let time_ratio = large.sim_seconds / small.sim_seconds;
-        let instr_ratio = large.instructions / small.instructions;
+        let time_ratio = large.run.sim_seconds / small.run.sim_seconds;
+        let instr_ratio = large.run.ops / small.run.ops;
         assert!(
             (time_ratio / instr_ratio - 1.0).abs() < 0.02,
             "time x{time_ratio:.1} vs instructions x{instr_ratio:.1}"
@@ -713,17 +485,20 @@ mod tests {
     #[test]
     fn breakdown_partitions_the_run() {
         let sim = SimConfig::reduced_lj(256);
-        let m = MtaMdSimulation::paper_mta2();
         for mode in [
             ThreadingMode::FullyMultithreaded,
             ThreadingMode::PartiallyMultithreaded,
         ] {
-            let run = run_md(&m, &sim, 2, mode);
-            let b = run.breakdown;
+            let run = run_md(&sim, 2, mode);
+            let b = MtaCycleBreakdown {
+                startup: run.counter("mta.cycles.startup"),
+                issue: run.counter("mta.cycles.issue"),
+                stall: run.counter("mta.cycles.phantom"),
+            };
             assert!(
-                (b.total() - run.cycles).abs() <= 1e-9 * run.cycles,
+                (b.total() - run.cycles()).abs() <= 1e-9 * run.cycles(),
                 "{mode:?}: {b:?} vs {}",
-                run.cycles
+                run.cycles()
             );
             // Figure 8's mechanism, visible in the attribution: the
             // serialized step 2 shows up as phantom cycles.
@@ -741,40 +516,38 @@ mod tests {
     #[test]
     fn perf_counters_are_free_and_populated() {
         let sim = SimConfig::reduced_lj(108);
-        let m = MtaMdSimulation::paper_mta2();
         let mode = ThreadingMode::FullyMultithreaded;
-        let plain = run_md(&m, &sim, 3, mode);
-        let mut perf = sim_perf::PerfMonitor::new();
-        let counted = run_md_perf(&m, &sim, 3, mode, &mut perf);
+        let plain = MtaMd::paper_mta2(mode)
+            .run(&sim, RunOptions::steps(3))
+            .unwrap();
+        let counted = run_md(&sim, 3, mode);
 
         // Observability is free: bitwise-identical outcome.
-        assert_eq!(plain.sim_seconds, counted.sim_seconds);
-        assert_eq!(plain.energies.total, counted.energies.total);
-        assert_eq!(plain.instructions, counted.instructions);
+        assert_eq!(plain.sim_seconds, counted.run.sim_seconds);
+        assert_eq!(plain.energies.total, counted.run.energies.total);
+        assert_eq!(plain.ops, counted.run.ops);
 
-        let instr = perf.find("mta.instructions").expect("registered");
-        assert_eq!(instr.value(), counted.instructions);
+        let instr = counted.perf.find("mta.instructions").expect("registered");
+        assert_eq!(instr.value(), counted.run.ops);
         // One sample per evaluation: steps + 1 priming evaluation.
         assert_eq!(instr.samples().len(), 4);
-        let phantom = perf.find("mta.cycles.phantom").expect("registered");
-        assert_eq!(phantom.value(), counted.breakdown.stall);
-        let occ = perf
-            .find("mta.stream.occupancy_cycles")
-            .expect("registered");
+        let occ = counted.counter("mta.stream.occupancy_cycles");
         // Saturated parallel loops run at 128 streams, so the occupancy
         // integral sits near 128 x cycles.
-        let avg = occ.value() / counted.cycles;
+        let avg = occ / counted.cycles();
         assert!((100.0..=128.0).contains(&avg), "avg occupancy {avg:.1}");
-        let retries = perf.find("mta.hotspot.retry_cycles").expect("registered");
-        assert_eq!(retries.value(), 0.0, "no faults armed");
+        assert_eq!(
+            counted.counter("mta.hotspot.retry_cycles"),
+            0.0,
+            "no faults armed"
+        );
     }
 
     #[test]
     fn deterministic() {
         let sim = SimConfig::reduced_lj(108);
-        let m = MtaMdSimulation::paper_mta2();
-        let a = run_md(&m, &sim, 2, ThreadingMode::FullyMultithreaded);
-        let b = run_md(&m, &sim, 2, ThreadingMode::FullyMultithreaded);
+        let a = run_md(&sim, 2, ThreadingMode::FullyMultithreaded).run;
+        let b = run_md(&sim, 2, ThreadingMode::FullyMultithreaded).run;
         assert_eq!(a.sim_seconds, b.sim_seconds);
         assert_eq!(a.energies.total, b.energies.total);
     }
@@ -782,31 +555,25 @@ mod tests {
     #[test]
     fn segmented_run_matches_unsegmented_run_bitwise() {
         let sim = SimConfig::reduced_lj(108);
-        let m = MtaMdSimulation::paper_mta2();
-        let mode = ThreadingMode::FullyMultithreaded;
-        let mut whole: ParticleSystem<f64> = init::initialize(&sim);
-        run_md_from(&m, &mut whole, &sim, 10, mode);
-        let mut segmented: ParticleSystem<f64> = init::initialize(&sim);
-        run_md_from(&m, &mut segmented, &sim, 5, mode);
-        run_md_from(&m, &mut segmented, &sim, 5, mode);
-        assert_eq!(whole.positions, segmented.positions);
-        assert_eq!(whole.velocities, segmented.velocities);
+        let mut m = MtaMd::paper_mta2(ThreadingMode::FullyMultithreaded);
+        let whole = run_md_from(&mut m, &sim, None, 10).run;
+        let first = run_md_from(&mut m, &sim, None, 5).run;
+        let segmented = run_md_from(&mut m, &sim, Some(&first.checkpoint), 5).run;
+        assert_eq!(whole.checkpoint, segmented.checkpoint);
     }
 
-    #[cfg(feature = "fault-inject")]
+    fn faulty(seed: u64, rate: f64) -> MtaMd {
+        MtaMd::paper_mta2(ThreadingMode::FullyMultithreaded)
+            .with_fault_plan(FaultPlan::new(seed, rate))
+    }
+
     #[test]
     fn injected_faults_leave_physics_untouched_and_slow_the_run() {
         let sim = SimConfig::reduced_lj(108);
-        let mode = ThreadingMode::FullyMultithreaded;
-        let clean = run_md(&MtaMdSimulation::paper_mta2(), &sim, 5, mode);
-        let faulty = run_md(
-            &MtaMdSimulation::paper_mta2().with_fault_plan(sim_fault::FaultPlan::new(9, 0.4)),
-            &sim,
-            5,
-            mode,
-        );
+        let clean = run_md(&sim, 5, ThreadingMode::FullyMultithreaded).run;
+        let faulty = run_md_from(&mut faulty(9, 0.4), &sim, None, 5).run;
         assert_eq!(clean.energies.total, faulty.energies.total);
-        assert_eq!(clean.instructions, faulty.instructions);
+        assert_eq!(clean.ops, faulty.ops);
         assert!(faulty.faults.any());
         assert!(faulty.sim_seconds > clean.sim_seconds);
         // The MTA charges every retry on the single-processor timeline, so
@@ -817,33 +584,19 @@ mod tests {
         );
     }
 
-    #[cfg(feature = "fault-inject")]
     #[test]
     fn exhaustion_degrades_instead_of_failing() {
         let sim = SimConfig::reduced_lj(108);
-        let run = run_md(
-            &MtaMdSimulation::paper_mta2().with_fault_plan(sim_fault::FaultPlan::new(0, 1.0)),
-            &sim,
-            1,
-            ThreadingMode::FullyMultithreaded,
-        );
+        let run = run_md_from(&mut faulty(0, 1.0), &sim, None, 1).run;
         assert!(run.faults.exhausted > 0);
         assert!(run.energies.total.is_finite());
     }
 
-    #[cfg(feature = "fault-inject")]
     #[test]
     fn fault_schedule_is_reproducible_across_runs() {
         let sim = SimConfig::reduced_lj(108);
-        let mk = || {
-            run_md(
-                &MtaMdSimulation::paper_mta2().with_fault_plan(sim_fault::FaultPlan::new(21, 0.3)),
-                &sim,
-                3,
-                ThreadingMode::FullyMultithreaded,
-            )
-        };
-        let (a, b) = (mk(), mk());
+        let a = run_md_from(&mut faulty(21, 0.3), &sim, None, 3).run;
+        let b = run_md_from(&mut faulty(21, 0.3), &sim, None, 3).run;
         assert_eq!(a.faults, b.faults);
         assert_eq!(a.sim_seconds, b.sim_seconds);
     }

@@ -21,7 +21,7 @@
 //! - [`FullEmptyMemory`]: the MTA's tagged memory (every word carries a
 //!   full/empty bit for fine-grained synchronization); the cross-stream PE
 //!   reduction uses `readfe`/`writeef` on it.
-//! - [`MtaMdSimulation`]: the MD kernel (double precision, as the paper's
+//! - [`MtaMd`]: the MD kernel (double precision, as the paper's
 //!   MTA port) run through the above, producing simulated runtimes.
 
 pub mod compiler;
@@ -32,6 +32,6 @@ mod processor;
 
 pub use compiler::{analyze_loop, LoopDesc, ParallelizationDecision};
 pub use config::{MtaConfig, RemoteMemoryModel};
-pub use kernel::{MtaCycleBreakdown, MtaMd, MtaMdSimulation, MtaRun, ThreadingMode};
+pub use kernel::{MtaCycleBreakdown, MtaMd, ThreadingMode};
 pub use memory::{FullEmptyError, FullEmptyMemory};
 pub use processor::{LoopCycleParts, MtaProcessor};

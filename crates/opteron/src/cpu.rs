@@ -1,7 +1,8 @@
 //! The cache-traced Opteron MD run.
 
 use crate::config::OpteronConfig;
-use md_core::device::HostParallelism;
+use md_core::device::DeviceError;
+use md_core::driver::{CostModel, CostReport, Eval, FaultKind, FaultSite, StepCost, StepDriver};
 use md_core::forces::{gather_row, GatherRow, SoaPositions};
 use md_core::forces::{AllPairsFullKernel, ForceKernel};
 use md_core::init;
@@ -22,30 +23,6 @@ const FLOPS_INTERACT: f64 = 20.0;
 /// Per-atom flops in the O(N) integration steps (two half-kicks + drift +
 /// wrap + kinetic-energy accumulation).
 const FLOPS_INTEGRATE: f64 = 24.0;
-
-/// Result of a simulated Opteron run.
-#[derive(Clone, Debug)]
-pub struct OpteronRun {
-    /// Simulated wall-clock seconds on the 2006 reference machine.
-    pub sim_seconds: f64,
-    /// Simulated cycles, split by source.
-    pub flop_cycles: f64,
-    pub memory_cycles: f64,
-    /// Final energies — must agree with a plain `md_core` run, proving the
-    /// timed replay computes the same physics.
-    pub energies: EnergyReport,
-    /// Cache behaviour over the whole run.
-    pub memory: HierarchyStats,
-    /// Total floating-point operations charged.
-    pub flops: f64,
-    /// Demand loads issued (every simulated read reference).
-    pub loads: u64,
-    /// Demand stores issued (every simulated write reference).
-    pub stores: u64,
-    /// Injected-fault accounting for this run (zero when no plan is armed).
-    #[cfg(feature = "fault-inject")]
-    pub faults: sim_fault::FaultStats,
-}
 
 /// The memory front-end: plain hierarchy or prefetcher-assisted.
 #[derive(Clone)]
@@ -134,22 +111,12 @@ struct TraceMemo {
 pub struct OpteronCpu {
     pub config: OpteronConfig,
     hierarchy: MemFrontend,
-    /// Demand cycles charged (the prefetching frontend's inner hierarchy
-    /// also counts background fills, so demand cycles are tracked here).
-    demand_cycles: f64,
-    /// Demand reference counts by direction, for the perf-counter layer.
-    /// Pure event counts: they never feed back into the cycle accounting.
-    loads: u64,
-    stores: u64,
     /// Last force-evaluation replay, reused when the cache re-enters the
-    /// same state ([`TraceMemo`]). `None` disables memoization (the
-    /// benchmark baseline) — results are identical either way, only the
-    /// host wall-clock differs.
+    /// same state ([`TraceMemo`]). Consulted only under the driver's
+    /// shared-eval switch — results are identical either way, only the host
+    /// wall-clock differs.
     trace_memo: Option<TraceMemo>,
-    trace_memo_enabled: bool,
-    /// When armed, ECC-style reload faults fire per the plan's schedule.
-    #[cfg(feature = "fault-inject")]
-    pub fault_plan: Option<sim_fault::FaultPlan>,
+    driver: StepDriver,
 }
 
 impl OpteronCpu {
@@ -162,24 +129,8 @@ impl OpteronCpu {
         Self {
             hierarchy,
             config,
-            demand_cycles: 0.0,
-            loads: 0,
-            stores: 0,
             trace_memo: None,
-            trace_memo_enabled: true,
-            #[cfg(feature = "fault-inject")]
-            fault_plan: None,
-        }
-    }
-
-    /// Disable (or re-enable) the force-evaluation replay memo. Every
-    /// reported number is identical either way; turning it off restores the
-    /// full O(N²) cache replay per evaluation, which the scaling benchmark
-    /// uses as its wall-clock baseline.
-    pub fn set_trace_memo(&mut self, enabled: bool) {
-        self.trace_memo_enabled = enabled;
-        if !enabled {
-            self.trace_memo = None;
+            driver: StepDriver::default(),
         }
     }
 
@@ -187,14 +138,50 @@ impl OpteronCpu {
         Self::new(OpteronConfig::paper_reference())
     }
 
-    /// Arm deterministic fault injection for subsequent runs.
-    #[cfg(feature = "fault-inject")]
-    #[must_use]
-    pub fn with_fault_plan(mut self, plan: sim_fault::FaultPlan) -> Self {
-        self.fault_plan = Some(plan);
-        self
+    /// Reference check: the same workload run through the untimed kernel.
+    pub fn untimed_energies(sim: &SimConfig, steps: usize) -> EnergyReport {
+        let mut sys: ParticleSystem<f64> = init::initialize(sim);
+        let sub = sim.substrate::<f64>();
+        let vv = VelocityVerlet::new(sim.dt);
+        let mut kernel = AllPairsFullKernel;
+        let mut pe = kernel.compute(&mut sys, &sub);
+        for _ in 0..steps {
+            pe = vv.step(&mut sys, &mut kernel, &sub);
+        }
+        EnergyReport::measure(&sys, pe)
     }
+}
 
+/// One run's cost accounting: the MD kernel (Figure 4) with its memory
+/// traffic replayed through the cache model. Physics is double precision,
+/// exactly as the paper's reference implementation.
+pub struct OpteronStep<'a> {
+    config: &'a OpteronConfig,
+    hierarchy: &'a mut MemFrontend,
+    memo: &'a mut Option<TraceMemo>,
+    /// The logical arrays' layout in the simulated address space.
+    pos_r: ArrayRegion,
+    vel_r: ArrayRegion,
+    acc_r: ArrayRegion,
+    n: usize,
+    /// Ensemble work (thermostat rescale) per step: O(N) on top of the
+    /// integration loop, zero under NVE so the paper runs are untouched.
+    ens_flops: f64,
+    /// Demand cycles charged (the prefetching frontend's inner hierarchy
+    /// also counts background fills, so demand cycles are tracked here).
+    demand_cycles: f64,
+    /// Demand reference counts by direction, for the perf-counter layer.
+    /// Pure event counts: they never feed back into the cycle accounting.
+    loads: u64,
+    stores: u64,
+    flops: f64,
+    loop_iters: f64,
+    /// Extra memory cycles charged by injected ECC reloads.
+    fault_extra_cycles: f64,
+    handles: PerfHandles,
+}
+
+impl OpteronStep<'_> {
     #[inline]
     fn mem_access(&mut self, addr: u64, kind: AccessKind) {
         match kind {
@@ -204,163 +191,77 @@ impl OpteronCpu {
         self.demand_cycles += self.hierarchy.access(addr, kind) as f64;
     }
 
-    /// Run the full MD kernel (Figure 4), replaying memory traffic through
-    /// the cache model. Physics is double precision, exactly as the paper's
-    /// reference implementation; the scenario substrate selects the pair
-    /// potential, ensemble, and precision policy. This is the single run
-    /// path behind [`md_core::device::MdDevice::run`].
-    fn run_md_from_impl(
-        &mut self,
-        sys: &mut ParticleSystem<f64>,
-        sim: &SimConfig,
-        steps: usize,
-        mut perf: Option<&mut sim_perf::PerfMonitor>,
-        par: HostParallelism,
-    ) -> OpteronRun {
-        self.hierarchy.reset();
-        self.demand_cycles = 0.0;
-        self.loads = 0;
-        self.stores = 0;
-        let handles = perf.as_deref_mut().map(PerfHandles::register);
-        let sub = sim.substrate::<f64>();
-        // Ensemble work (thermostat rescale) is O(N) per step on top of the
-        // integration loop; zero under NVE so the paper runs are untouched.
-        let ens_flops = sys.n() as f64 * sub.extra_step_ops_per_atom();
-        let vv = VelocityVerlet::new(sim.dt);
-
-        // Lay out the logical arrays in the simulated address space.
-        let elem = size_of::<Vec3<f64>>(); // 24 bytes
-        let mut space = AddressSpace::new();
-        let pos_r = space.alloc_array(sys.n(), elem);
-        let vel_r = space.alloc_array(sys.n(), elem);
-        let acc_r = space.alloc_array(sys.n(), elem);
-
-        let mut flops = 0.0f64;
-        let mut loop_iters = 0.0f64;
-
-        #[cfg(feature = "fault-inject")]
-        let mut fault = self.fault_plan.map(sim_fault::FaultSession::new);
-        // Extra memory cycles charged by injected ECC reloads. Declared
-        // unconditionally (it stays 0.0 in non-fault builds) because the
-        // perf sampler folds it into the stall counter either way.
-        #[allow(unused_mut)]
-        let mut fault_extra_cycles = 0.0f64;
-        // An ECC-corrected memory error forces a scrubbed cache line to be
-        // refetched from DRAM; the reload costs one DRAM round trip and
-        // touches nothing but the timeline.
-        #[cfg(feature = "fault-inject")]
-        let ecc_reload_cycles = self.config.memory.dram_cycles as f64;
-
-        // Prime the accelerations (step-0 force evaluation), charged like any
-        // other evaluation — the paper's total runtime includes everything.
-        let mut pe =
-            self.traced_forces(sys, &sub, &pos_r, &acc_r, &mut flops, &mut loop_iters, par);
-        #[cfg(feature = "fault-inject")]
-        {
-            fault_extra_cycles += resolve_degradable(
-                &mut fault,
-                sim_fault::FaultSite::new(sim_fault::FaultKind::EccReload, 0, 0, 0),
-                ecc_reload_cycles,
-                self.config.clock_hz,
-            );
-        }
-        self.perf_sample(&mut perf, handles, flops, loop_iters, fault_extra_cycles);
-
-        // `_step` is only read by the fault-injection site below.
-        for _step in 0..steps {
-            // Steps 1, 3, 4 of Figure 4: O(N) integration. One pass reads
-            // acc + vel + pos and writes vel + pos.
-            for i in 0..sys.n() {
-                self.mem_access(acc_r.addr(i), AccessKind::Read);
-                self.mem_access(vel_r.addr(i), AccessKind::Write);
-                self.mem_access(pos_r.addr(i), AccessKind::Write);
-            }
-            flops += FLOPS_INTEGRATE * sys.n() as f64;
-            vv.kick_drift(sys);
-
-            // Step 2: the traced O(N²) force evaluation.
-            pe = self.traced_forces(sys, &sub, &pos_r, &acc_r, &mut flops, &mut loop_iters, par);
-            #[cfg(feature = "fault-inject")]
-            {
-                fault_extra_cycles += resolve_degradable(
-                    &mut fault,
-                    sim_fault::FaultSite::new(
-                        sim_fault::FaultKind::EccReload,
-                        _step as u64 + 1,
-                        0,
-                        0,
-                    ),
-                    ecc_reload_cycles,
-                    self.config.clock_hz,
-                );
-            }
-
-            // Second half-kick + step 5 energy reduction.
-            for i in 0..sys.n() {
-                self.mem_access(acc_r.addr(i), AccessKind::Read);
-                self.mem_access(vel_r.addr(i), AccessKind::Write);
-            }
-            flops += 6.0 * sys.n() as f64;
-            vv.kick(sys);
-            sub.apply_thermostat(sys);
-            flops += ens_flops;
-            self.perf_sample(&mut perf, handles, flops, loop_iters, fault_extra_cycles);
-        }
-
-        let stats = self.hierarchy.stats();
-        let flop_cycles =
-            flops * self.config.cycles_per_flop + loop_iters * self.config.loop_overhead_cycles;
-        // Demand-path memory cycles only: with the prefetcher on, background
-        // fills also pass through the hierarchy but cost the program nothing.
-        #[allow(unused_mut)]
-        let mut memory_cycles = self.demand_cycles;
-        #[cfg(feature = "fault-inject")]
-        {
-            memory_cycles += fault_extra_cycles;
-        }
-        let total_cycles = flop_cycles + memory_cycles;
-        OpteronRun {
-            sim_seconds: total_cycles / self.config.clock_hz,
-            flop_cycles,
-            memory_cycles,
-            energies: EnergyReport::measure(sys, pe),
-            memory: stats,
-            flops,
-            loads: self.loads,
-            stores: self.stores,
-            #[cfg(feature = "fault-inject")]
-            faults: fault.map_or_else(sim_fault::FaultStats::default, |f| f.stats()),
-        }
+    fn flop_cycles(&self) -> f64 {
+        self.flops * self.config.cycles_per_flop
+            + self.loop_iters * self.config.loop_overhead_cycles
     }
 
-    /// Mirror the run's accumulators into the perf monitor and take one
-    /// time-series sample at the current simulated time. Reads only; the
-    /// run's own arithmetic never depends on it.
-    fn perf_sample(
-        &self,
-        perf: &mut Option<&mut sim_perf::PerfMonitor>,
-        handles: Option<PerfHandles>,
-        flops: f64,
-        loop_iters: f64,
-        fault_extra_cycles: f64,
-    ) {
-        let (Some(p), Some(h)) = (perf.as_deref_mut(), handles) else {
-            return;
-        };
-        let stats = self.hierarchy.stats();
-        p.record_total(h.loads, self.loads as f64);
-        p.record_total(h.stores, self.stores as f64);
-        p.record_total(h.l1_hits, stats.l1.hits as f64);
-        p.record_total(h.l1_misses, stats.l1.misses as f64);
-        p.record_total(h.l2_hits, stats.l2.hits as f64);
-        p.record_total(h.l2_misses, stats.l2.misses as f64);
-        p.record_total(h.mem_stall_cycles, self.demand_cycles + fault_extra_cycles);
-        p.record_total(h.flops, flops);
-        let cycles = flops * self.config.cycles_per_flop
-            + loop_iters * self.config.loop_overhead_cycles
-            + self.demand_cycles
-            + fault_extra_cycles;
-        p.sample_all(cycles / self.config.clock_hz);
+    /// Demand-path memory cycles only: with the prefetcher on, background
+    /// fills also pass through the hierarchy but cost the program nothing.
+    fn memory_cycles(&self) -> f64 {
+        self.demand_cycles + self.fault_extra_cycles
+    }
+}
+
+impl CostModel for OpteronCpu {
+    type Real = f64;
+    type Run<'a> = OpteronStep<'a>;
+
+    fn label(&self) -> String {
+        "opteron".to_string()
+    }
+
+    /// One flop per `cycles_per_flop` cycles: the scalar FPU pipeline.
+    fn peak_ops_per_second(&self) -> f64 {
+        self.config.clock_hz / self.config.cycles_per_flop
+    }
+
+    fn driver(&mut self) -> &mut StepDriver {
+        &mut self.driver
+    }
+
+    fn start<'a>(
+        &'a mut self,
+        sim: &SimConfig,
+        sys: &ParticleSystem<f64>,
+        perf: &mut sim_perf::PerfMonitor,
+    ) -> Result<OpteronStep<'a>, DeviceError> {
+        self.hierarchy.reset();
+        let n = sys.n();
+        let elem = size_of::<Vec3<f64>>(); // 24 bytes
+        let mut space = AddressSpace::new();
+        Ok(OpteronStep {
+            config: &self.config,
+            hierarchy: &mut self.hierarchy,
+            memo: &mut self.trace_memo,
+            pos_r: space.alloc_array(n, elem),
+            vel_r: space.alloc_array(n, elem),
+            acc_r: space.alloc_array(n, elem),
+            n,
+            ens_flops: n as f64 * sim.substrate::<f64>().extra_step_ops_per_atom(),
+            demand_cycles: 0.0,
+            loads: 0,
+            stores: 0,
+            flops: 0.0,
+            loop_iters: 0.0,
+            fault_extra_cycles: 0.0,
+            handles: PerfHandles::register(perf),
+        })
+    }
+}
+
+impl StepCost for OpteronStep<'_> {
+    type Real = f64;
+
+    /// Steps 1, 3, 4 of Figure 4: O(N) integration. One pass reads
+    /// acc + vel + pos and writes vel + pos.
+    fn charge_drift(&mut self) {
+        for i in 0..self.n {
+            self.mem_access(self.acc_r.addr(i), AccessKind::Read);
+            self.mem_access(self.vel_r.addr(i), AccessKind::Write);
+            self.mem_access(self.pos_r.addr(i), AccessKind::Write);
+        }
+        self.flops += FLOPS_INTEGRATE * self.n as f64;
     }
 
     /// The step-2 gather loop with interleaved cache accesses. Numerics are
@@ -376,27 +277,18 @@ impl OpteronCpu {
     /// every accumulator in the same order as a serial run — demand cycles,
     /// reference counts, flops, PE, and accelerations are bitwise identical
     /// at any thread count.
-    #[allow(clippy::too_many_arguments)]
-    fn traced_forces(
-        &mut self,
-        sys: &mut ParticleSystem<f64>,
-        sub: &md_core::scenario::Substrate<f64>,
-        pos_r: &ArrayRegion,
-        acc_r: &ArrayRegion,
-        flops: &mut f64,
-        loop_iters: &mut f64,
-        par: HostParallelism,
-    ) -> f64 {
-        let n = sys.n();
-        let l = sys.box_len;
-        let inv_m = sys.mass.recip();
-        let soa = SoaPositions::from_positions(&sys.positions);
+    fn evaluate(&mut self, e: Eval<'_, f64>) -> Result<f64, DeviceError> {
+        let n = self.n;
+        let l = e.box_len;
+        let inv_m = e.mass.recip();
+        let sub = e.sub;
+        let soa = SoaPositions::from_positions(e.positions);
+        let (pos_r, acc_r) = (&self.pos_r, &self.acc_r);
 
         enum Lane<'a> {
             Trace {
                 h: &'a mut MemFrontend,
                 memo: &'a mut Option<TraceMemo>,
-                memo_enabled: bool,
             },
             Rows {
                 lo: usize,
@@ -416,18 +308,16 @@ impl OpteronCpu {
         // remaining workers. The split never changes any value — rows are
         // pure per-atom functions folded in ascending-atom order below — so
         // the lane count only shapes the wall-clock overlap.
-        let row_lanes = par.threads().saturating_sub(1).max(1);
+        let row_lanes = e.par.threads().saturating_sub(1).max(1);
         let chunk = n.div_ceil(row_lanes).max(1);
-        // Hoisted before lane construction: `self.trace_memo` is mutably
-        // borrowed into the trace lane, so the rows arm reads a copy. When the
-        // memo is on, rows go through the shared wide evaluator — bitwise
-        // identical to [`gather_row`] per the shared-eval contract.
-        let eval_memo = self.trace_memo_enabled;
+        // Under the shared-eval switch the rows go through the shared wide
+        // evaluator (bitwise identical to [`gather_row`] per the shared-eval
+        // contract) and the cache replay is memoized.
+        let shared = e.shared_eval;
         let mut lanes: Vec<Lane<'_>> = Vec::with_capacity(row_lanes + 1);
         lanes.push(Lane::Trace {
-            h: &mut self.hierarchy,
-            memo: &mut self.trace_memo,
-            memo_enabled: self.trace_memo_enabled,
+            h: &mut *self.hierarchy,
+            memo: &mut *self.memo,
         });
         let mut lo = 0;
         while lo < n {
@@ -436,19 +326,14 @@ impl OpteronCpu {
             lo = hi;
         }
 
-        let outs = map_lanes(par, &mut lanes, |_, lane| match lane {
-            Lane::Trace {
-                h,
-                memo,
-                memo_enabled,
-            } => {
+        let outs = map_lanes(e.par, &mut lanes, |_, lane| match lane {
+            Lane::Trace { h, memo } => {
                 let h: &mut MemFrontend = h;
                 let memo: &mut Option<TraceMemo> = memo;
-                let memo_enabled = *memo_enabled;
                 // Same stream, same entry state: reuse the recorded replay
                 // (see [`TraceMemo`] for why this cannot change any number).
                 if let Some(m) = memo.as_ref() {
-                    if memo_enabled
+                    if shared
                         && m.n == n
                         && m.pos_base == pos_r.addr(0)
                         && m.acc_base == acc_r.addr(0)
@@ -462,7 +347,7 @@ impl OpteronCpu {
                         };
                     }
                 }
-                let entry = memo_enabled.then(|| h.clone());
+                let entry = shared.then(|| h.clone());
                 // The exact reference stream of the scalar kernel: read
                 // pos[i], read every pos[j] in the inner loop, write acc[i].
                 let mut demand = 0.0f64;
@@ -504,7 +389,7 @@ impl OpteronCpu {
             Lane::Rows { lo, hi } => LaneOut::Rows(
                 (*lo..*hi)
                     .map(|i| {
-                        if eval_memo {
+                        if shared {
                             md_core::shared_eval::host_row(&soa, i, l, sub, inv_m)
                         } else {
                             gather_row(&soa, i, l, sub, inv_m)
@@ -534,7 +419,7 @@ impl OpteronCpu {
                 }
                 LaneOut::Rows(rows) => {
                     for row in rows {
-                        sys.accelerations[row_cursor] = row.acc;
+                        e.accelerations[row_cursor] = row.acc;
                         pe_twice += row.pe;
                         interactions += row.interactions;
                         row_cursor += 1;
@@ -546,23 +431,69 @@ impl OpteronCpu {
         let dist_evals = (n as f64) * (n as f64 - 1.0);
         // Per-interaction flops: the LJ baseline plus whatever extra work the
         // scenario's potential costs (zero for the paper-faithful LJ run).
-        *flops += dist_evals * FLOPS_DISTANCE
+        self.flops += dist_evals * FLOPS_DISTANCE
             + interactions as f64 * (FLOPS_INTERACT + sub.extra_eval_ops());
-        *loop_iters += dist_evals;
-        pe_twice * 0.5
+        self.loop_iters += dist_evals;
+
+        // An ECC-corrected memory error forces a scrubbed cache line to be
+        // refetched from DRAM; the reload costs one DRAM round trip and
+        // touches nothing but the timeline.
+        self.fault_extra_cycles += e.faults.degradable(
+            FaultSite::new(FaultKind::EccReload, e.index, 0, 0),
+            self.config.memory.dram_cycles as f64,
+            self.config.clock_hz,
+        );
+        Ok(pe_twice * 0.5)
     }
 
-    /// Reference check: the same workload run through the untimed kernel.
-    pub fn untimed_energies(sim: &SimConfig, steps: usize) -> EnergyReport {
-        let mut sys: ParticleSystem<f64> = init::initialize(sim);
-        let sub = sim.substrate::<f64>();
-        let vv = VelocityVerlet::new(sim.dt);
-        let mut kernel = AllPairsFullKernel;
-        let mut pe = kernel.compute(&mut sys, &sub);
-        for _ in 0..steps {
-            pe = vv.step(&mut sys, &mut kernel, &sub);
+    /// Second half-kick + step 5 energy reduction, then the ensemble work.
+    fn charge_kick(&mut self) {
+        for i in 0..self.n {
+            self.mem_access(self.acc_r.addr(i), AccessKind::Read);
+            self.mem_access(self.vel_r.addr(i), AccessKind::Write);
         }
-        EnergyReport::measure(&sys, pe)
+        self.flops += 6.0 * self.n as f64;
+        self.flops += self.ens_flops;
+    }
+
+    fn sample(&mut self, p: &mut sim_perf::PerfMonitor) -> f64 {
+        let h = self.handles;
+        let stats = self.hierarchy.stats();
+        p.record_total(h.loads, self.loads as f64);
+        p.record_total(h.stores, self.stores as f64);
+        p.record_total(h.l1_hits, stats.l1.hits as f64);
+        p.record_total(h.l1_misses, stats.l1.misses as f64);
+        p.record_total(h.l2_hits, stats.l2.hits as f64);
+        p.record_total(h.l2_misses, stats.l2.misses as f64);
+        p.record_total(h.mem_stall_cycles, self.memory_cycles());
+        p.record_total(h.flops, self.flops);
+        (self.flop_cycles() + self.demand_cycles + self.fault_extra_cycles) / self.config.clock_hz
+    }
+
+    fn finish(&mut self, _perf: &sim_perf::PerfMonitor) -> CostReport {
+        let clk = self.config.clock_hz;
+        let (flop_cycles, memory_cycles) = (self.flop_cycles(), self.memory_cycles());
+        let sim_seconds = (flop_cycles + memory_cycles) / clk;
+        let memory = self.hierarchy.stats();
+        let stall_fraction = if sim_seconds > 0.0 {
+            (memory_cycles / clk) / sim_seconds
+        } else {
+            0.0
+        };
+        CostReport {
+            sim_seconds,
+            attribution: vec![
+                ("compute", flop_cycles / clk),
+                ("memory_stall", memory_cycles / clk),
+            ],
+            derived: vec![
+                ("memory_stall_fraction", stall_fraction),
+                ("l1_miss_rate", memory.l1.miss_rate()),
+                ("l2_miss_rate", memory.l2.miss_rate()),
+            ],
+            ops: self.flops,
+            bytes_moved: (self.loads + self.stores) as f64 * 8.0,
+        }
     }
 }
 
@@ -595,145 +526,74 @@ impl PerfHandles {
     }
 }
 
-/// Resolve one fault site in the degradation style: retries cost one unit of
-/// recovery work each; an exhausted budget costs a 4× penalty (a full scrub
-/// pass) and is recorded in [`sim_fault::FaultStats::exhausted`] rather than
-/// failing the run — the supervisor decides what exhaustion means. Returns
-/// the extra cycles charged, which the caller folds into `memory_cycles`.
-#[cfg(feature = "fault-inject")]
-fn resolve_degradable(
-    fault: &mut Option<sim_fault::FaultSession>,
-    site: sim_fault::FaultSite,
-    unit_cycles: f64,
-    clock_hz: f64,
-) -> f64 {
-    let Some(sess) = fault.as_mut() else {
-        return 0.0;
-    };
-    let out = sess.outcome(site);
-    let mut extra = unit_cycles * f64::from(out.failures);
-    if out.exhausted {
-        extra += 4.0 * unit_cycles;
-    }
-    if extra > 0.0 {
-        sess.charge(extra / clock_hz);
-    }
-    extra
-}
-
-impl md_core::device::MdDevice for OpteronCpu {
-    fn label(&self) -> String {
-        "opteron".to_string()
-    }
-
-    /// One flop per `cycles_per_flop` cycles: the scalar FPU pipeline.
-    fn peak_ops_per_second(&self) -> f64 {
-        self.config.clock_hz / self.config.cycles_per_flop
-    }
-
-    #[cfg(feature = "fault-inject")]
-    fn resalt(&mut self, salt: u64) {
-        self.fault_plan = self.fault_plan.map(|p| p.with_salt(salt));
-    }
-
-    fn run(
-        &mut self,
-        sim: &SimConfig,
-        mut opts: md_core::device::RunOptions<'_>,
-    ) -> Result<md_core::device::DeviceRun, md_core::device::DeviceError> {
-        #[cfg(feature = "fault-inject")]
-        if let Some(plan) = opts.fault_plan {
-            self.fault_plan = Some(plan);
-        }
-        let (mut sys, start_step): (ParticleSystem<f64>, u64) = match opts.start {
-            Some(cp) => (cp.restore(), cp.step),
-            None => (init::initialize(sim), 0),
-        };
-        let par = opts.host_parallelism;
-        // Counter values feed the ledger too, so observe with a local
-        // monitor when the caller didn't pass one (observation is free: the
-        // counted run is bitwise-identical).
-        let mut local = sim_perf::PerfMonitor::new();
-        let perf = match opts.perf.take() {
-            Some(p) => p,
-            None => &mut local,
-        };
-        let r = self.run_md_from_impl(&mut sys, sim, opts.steps, Some(perf), par);
-        let clk = self.config.clock_hz;
-        let stall_fraction = if r.sim_seconds > 0.0 {
-            (r.memory_cycles / clk) / r.sim_seconds
-        } else {
-            0.0
-        };
-        let run = md_core::device::DeviceRun {
-            sim_seconds: r.sim_seconds,
-            energies: r.energies,
-            checkpoint: md_core::checkpoint::SystemCheckpoint::capture(
-                &sys,
-                start_step + opts.steps as u64,
-            ),
-            attribution: vec![
-                ("compute", r.flop_cycles / clk),
-                ("memory_stall", r.memory_cycles / clk),
-            ],
-            derived: vec![
-                ("memory_stall_fraction", stall_fraction),
-                ("l1_miss_rate", r.memory.l1.miss_rate()),
-                ("l2_miss_rate", r.memory.l2.miss_rate()),
-            ],
-            ops: r.flops,
-            bytes_moved: (r.loads + r.stores) as f64 * 8.0,
-            #[cfg(feature = "fault-inject")]
-            faults: r.faults,
-            #[cfg(not(feature = "fault-inject"))]
-            faults: md_core::device::FaultStats::default(),
-        };
-        if let Some(led) = opts.ledger.take() {
-            let label = md_core::device::MdDevice::label(self);
-            md_core::device::ledger_record_run(led, &label, &run, Some(perf));
-        }
-        Ok(run)
-    }
-}
-
 #[cfg(test)]
 // Tests assert *bitwise* f64 equality on purpose: identical runs must
 // produce identical results, not merely close ones (DESIGN.md §4).
 #[allow(clippy::float_cmp)]
 mod tests {
     use super::*;
+    use md_core::checkpoint::SystemCheckpoint;
+    use md_core::device::{DeviceRun, MdDevice, RunOptions};
+    use md_core::driver::CostModel;
+    use sim_perf::PerfMonitor;
 
-    /// Test-local shorthand over the single run path (the public surface is
-    /// [`md_core::device::MdDevice::run`]).
-    fn run_md(cpu: &mut OpteronCpu, sim: &SimConfig, steps: usize) -> OpteronRun {
-        let mut sys: ParticleSystem<f64> = init::initialize(sim);
-        cpu.run_md_from_impl(&mut sys, sim, steps, None, HostParallelism::Serial)
+    /// A run through the driver, with its counters.
+    struct Traced {
+        run: DeviceRun,
+        perf: PerfMonitor,
     }
 
-    fn run_md_perf(
-        cpu: &mut OpteronCpu,
-        sim: &SimConfig,
-        steps: usize,
-        perf: &mut sim_perf::PerfMonitor,
-    ) -> OpteronRun {
-        let mut sys: ParticleSystem<f64> = init::initialize(sim);
-        cpu.run_md_from_impl(&mut sys, sim, steps, Some(perf), HostParallelism::Serial)
+    impl Traced {
+        fn seconds(&self, phase: &str) -> f64 {
+            let (_, s) = self
+                .run
+                .attribution
+                .iter()
+                .find(|(k, _)| *k == phase)
+                .unwrap();
+            *s
+        }
+
+        fn flop_cycles(&self) -> f64 {
+            self.seconds("compute") * 2.2e9
+        }
+
+        fn memory_cycles(&self) -> f64 {
+            self.perf.find("opteron.mem.stall_cycles").unwrap().value()
+        }
+
+        fn counter(&self, name: &str) -> f64 {
+            self.perf.find(name).unwrap().value()
+        }
+
+        fn derived(&self, name: &str) -> f64 {
+            let (_, v) = self.run.derived.iter().find(|(k, _)| *k == name).unwrap();
+            *v
+        }
     }
 
     fn run_md_from(
         cpu: &mut OpteronCpu,
-        sys: &mut ParticleSystem<f64>,
         sim: &SimConfig,
+        start: Option<&SystemCheckpoint>,
         steps: usize,
-    ) -> OpteronRun {
-        cpu.run_md_from_impl(sys, sim, steps, None, HostParallelism::Serial)
+    ) -> Traced {
+        let mut perf = PerfMonitor::new();
+        let mut opts = RunOptions::steps(steps).with_perf(&mut perf);
+        opts.start = start;
+        let run = cpu.run(sim, opts).unwrap();
+        Traced { run, perf }
+    }
+
+    fn run_md(cpu: &mut OpteronCpu, sim: &SimConfig, steps: usize) -> Traced {
+        run_md_from(cpu, sim, None, steps)
     }
 
     #[test]
     fn physics_matches_untimed_kernel() {
         let cfg = SimConfig::reduced_lj(108);
         let mut cpu = OpteronCpu::paper_reference();
-        let run = run_md(&mut cpu, &cfg, 5);
+        let run = run_md(&mut cpu, &cfg, 5).run;
         let reference = OpteronCpu::untimed_energies(&cfg, 5);
         assert!(
             (run.energies.total - reference.total).abs() < 1e-9 * reference.total.abs(),
@@ -748,9 +608,15 @@ mod tests {
         let cfg = SimConfig::reduced_lj(256);
         let a = run_md(&mut OpteronCpu::paper_reference(), &cfg, 2);
         let b = run_md(&mut OpteronCpu::paper_reference(), &cfg, 2);
-        assert!(a.sim_seconds > 0.0);
-        assert_eq!(a.sim_seconds, b.sim_seconds, "simulation is deterministic");
-        assert_eq!(a.memory.accesses, b.memory.accesses);
+        assert!(a.run.sim_seconds > 0.0);
+        assert_eq!(
+            a.run.sim_seconds, b.run.sim_seconds,
+            "simulation is deterministic"
+        );
+        assert_eq!(
+            a.counter("opteron.mem.loads"),
+            b.counter("opteron.mem.loads")
+        );
     }
 
     #[test]
@@ -768,8 +634,8 @@ mod tests {
         };
         let small = run(256);
         let large = run(4096);
-        let total_ratio = large.sim_seconds / small.sim_seconds;
-        let flop_ratio = large.flop_cycles / small.flop_cycles;
+        let total_ratio = large.run.sim_seconds / small.run.sim_seconds;
+        let flop_ratio = large.flop_cycles() / small.flop_cycles();
         assert!(
             total_ratio > flop_ratio * 1.15,
             "expected cache-driven excess growth: total x{total_ratio:.1} vs flops x{flop_ratio:.1}"
@@ -779,12 +645,12 @@ mod tests {
     #[test]
     fn l1_miss_rate_rises_with_problem_size() {
         let miss_rate = |n: usize| {
-            let run = run_md(
+            run_md(
                 &mut OpteronCpu::paper_reference(),
                 &SimConfig::reduced_lj(n),
                 1,
-            );
-            run.memory.l1.miss_rate()
+            )
+            .derived("l1_miss_rate")
         };
         let small = miss_rate(256);
         let large = miss_rate(4096);
@@ -807,25 +673,33 @@ mod tests {
             &cfg,
             1,
         );
-        assert_eq!(plain.energies.total, pf.energies.total, "same physics");
-        assert!(
-            pf.memory_cycles < 0.7 * plain.memory_cycles,
-            "prefetch demand cycles {:.3e} vs plain {:.3e}",
-            pf.memory_cycles,
-            plain.memory_cycles
+        assert_eq!(
+            plain.run.energies.total, pf.run.energies.total,
+            "same physics"
         );
-        assert_eq!(plain.flop_cycles, pf.flop_cycles, "compute unchanged");
+        assert!(
+            pf.memory_cycles() < 0.7 * plain.memory_cycles(),
+            "prefetch demand cycles {:.3e} vs plain {:.3e}",
+            pf.memory_cycles(),
+            plain.memory_cycles()
+        );
+        assert_eq!(
+            plain.counter("opteron.flops"),
+            pf.counter("opteron.flops"),
+            "compute unchanged"
+        );
     }
 
     #[test]
     fn sse2_ablation_faster_but_same_physics() {
         let cfg = SimConfig::reduced_lj(256);
-        let scalar = run_md(&mut OpteronCpu::paper_reference(), &cfg, 2);
+        let scalar = run_md(&mut OpteronCpu::paper_reference(), &cfg, 2).run;
         let sse2 = run_md(
             &mut OpteronCpu::new(OpteronConfig::sse2_vectorized()),
             &cfg,
             2,
-        );
+        )
+        .run;
         assert_eq!(scalar.energies.total, sse2.energies.total);
         let speedup = scalar.sim_seconds / sse2.sim_seconds;
         assert!(
@@ -841,31 +715,30 @@ mod tests {
             &SimConfig::reduced_lj(108),
             2,
         );
-        let total = run.sim_seconds * 2.2e9;
-        assert!((total - (run.flop_cycles + run.memory_cycles)).abs() < 1.0);
-        assert!(run.flops > 0.0);
+        let total = run.run.sim_seconds * 2.2e9;
+        assert!((total - (run.flop_cycles() + run.memory_cycles())).abs() < 1.0);
+        assert!(run.run.ops > 0.0);
     }
 
     #[test]
     fn perf_counters_are_free_and_populated() {
         let cfg = SimConfig::reduced_lj(108);
-        let plain = run_md(&mut OpteronCpu::paper_reference(), &cfg, 3);
-        let mut perf = sim_perf::PerfMonitor::new();
-        let counted = run_md_perf(&mut OpteronCpu::paper_reference(), &cfg, 3, &mut perf);
+        let plain = OpteronCpu::paper_reference()
+            .run(&cfg, RunOptions::steps(3))
+            .unwrap();
+        let counted = run_md(&mut OpteronCpu::paper_reference(), &cfg, 3);
         assert_eq!(
-            plain.sim_seconds, counted.sim_seconds,
+            plain.sim_seconds, counted.run.sim_seconds,
             "observability is free"
         );
-        assert_eq!(plain.energies.total, counted.energies.total);
-        assert_eq!(plain.loads, counted.loads);
-        let loads = perf.find("opteron.mem.loads").expect("registered");
-        assert_eq!(loads.value(), counted.loads as f64);
+        assert_eq!(plain.energies.total, counted.run.energies.total);
+        assert_eq!(plain.bytes_moved, counted.run.bytes_moved);
+        let loads = counted.perf.find("opteron.mem.loads").expect("registered");
         assert_eq!(loads.samples().len(), 4, "prime eval + one per step");
-        assert!(perf.find("opteron.l1.hits").expect("registered").value() > 0.0);
-        let stalls = perf.find("opteron.mem.stall_cycles").expect("registered");
+        assert!(counted.counter("opteron.l1.hits") > 0.0);
         assert_eq!(
-            stalls.value(),
-            counted.memory_cycles,
+            counted.memory_cycles(),
+            counted.seconds("memory_stall") * 2.2e9,
             "stall counter mirrors run"
         );
     }
@@ -873,38 +746,43 @@ mod tests {
     #[test]
     fn segmented_run_matches_unsegmented_run_bitwise() {
         let cfg = SimConfig::reduced_lj(108);
+        let whole = run_md(&mut OpteronCpu::paper_reference(), &cfg, 10).run;
 
-        let mut whole_sys: ParticleSystem<f64> = init::initialize(&cfg);
-        run_md_from(&mut OpteronCpu::paper_reference(), &mut whole_sys, &cfg, 10);
-
-        let mut seg_sys: ParticleSystem<f64> = init::initialize(&cfg);
         let mut cpu = OpteronCpu::paper_reference();
-        run_md_from(&mut cpu, &mut seg_sys, &cfg, 5);
-        run_md_from(&mut cpu, &mut seg_sys, &cfg, 5);
+        let first = run_md(&mut cpu, &cfg, 5).run;
+        let second = run_md_from(&mut cpu, &cfg, Some(&first.checkpoint), 5).run;
 
-        assert_eq!(seg_sys.positions, whole_sys.positions);
-        assert_eq!(seg_sys.velocities, whole_sys.velocities);
-        assert_eq!(seg_sys.accelerations, whole_sys.accelerations);
+        assert_eq!(second.checkpoint, whole.checkpoint);
     }
 
-    #[cfg(feature = "fault-inject")]
+    #[test]
+    fn shared_eval_switch_is_bitwise_invisible() {
+        let cfg = SimConfig::reduced_lj(256);
+        let shared = run_md(&mut OpteronCpu::paper_reference(), &cfg, 3).run;
+        let mut baseline = OpteronCpu::paper_reference();
+        baseline.driver().shared_eval = false;
+        let interpretive = run_md(&mut baseline, &cfg, 3).run;
+        assert_eq!(shared.checkpoint, interpretive.checkpoint);
+        assert_eq!(shared.sim_seconds, interpretive.sim_seconds);
+    }
+
     mod faulted {
         use super::*;
+
+        fn faulty(seed: u64, rate: f64) -> OpteronCpu {
+            OpteronCpu::paper_reference()
+                .with_fault_plan(md_core::device::FaultPlan::new(seed, rate))
+        }
 
         #[test]
         fn injected_faults_leave_physics_untouched_and_slow_the_run() {
             let cfg = SimConfig::reduced_lj(108);
-            let clean = run_md(&mut OpteronCpu::paper_reference(), &cfg, 6);
-            let faulty = run_md(
-                &mut OpteronCpu::paper_reference()
-                    .with_fault_plan(sim_fault::FaultPlan::new(7, 0.4)),
-                &cfg,
-                6,
-            );
+            let clean = run_md(&mut OpteronCpu::paper_reference(), &cfg, 6).run;
+            let faulty = run_md(&mut faulty(7, 0.4), &cfg, 6).run;
 
             assert_eq!(clean.energies.total, faulty.energies.total);
             assert_eq!(clean.energies.kinetic, faulty.energies.kinetic);
-            assert_eq!(clean.flops, faulty.flops);
+            assert_eq!(clean.ops, faulty.ops);
             assert!(faulty.faults.any(), "rate 0.4 over 7 evals should fire");
             assert!(faulty.sim_seconds > clean.sim_seconds);
             // Serial timeline: the slowdown is exactly the charged recovery.
@@ -920,12 +798,7 @@ mod tests {
         #[test]
         fn exhaustion_degrades_instead_of_failing() {
             let cfg = SimConfig::reduced_lj(108);
-            let run = run_md(
-                &mut OpteronCpu::paper_reference()
-                    .with_fault_plan(sim_fault::FaultPlan::new(3, 1.0)),
-                &cfg,
-                3,
-            );
+            let run = run_md(&mut faulty(3, 1.0), &cfg, 3).run;
             assert!(run.faults.exhausted > 0, "rate 1.0 must exhaust retries");
             assert!(run.energies.total.is_finite());
             assert!(run.sim_seconds > 0.0);
@@ -934,19 +807,9 @@ mod tests {
         #[test]
         fn fault_schedule_is_reproducible_across_runs() {
             let cfg = SimConfig::reduced_lj(108);
-            let run = || {
-                run_md(
-                    &mut OpteronCpu::paper_reference()
-                        .with_fault_plan(sim_fault::FaultPlan::new(42, 0.3)),
-                    &cfg,
-                    5,
-                )
-            };
-            let a = run();
-            let b = run();
-            assert_eq!(a.faults.injected, b.faults.injected);
-            assert_eq!(a.faults.retries, b.faults.retries);
-            assert_eq!(a.faults.extra_seconds, b.faults.extra_seconds);
+            let a = run_md(&mut faulty(42, 0.3), &cfg, 5).run;
+            let b = run_md(&mut faulty(42, 0.3), &cfg, 5).run;
+            assert_eq!(a.faults, b.faults);
             assert_eq!(a.sim_seconds, b.sim_seconds);
         }
     }

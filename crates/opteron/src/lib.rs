@@ -18,4 +18,4 @@ mod config;
 mod cpu;
 
 pub use config::OpteronConfig;
-pub use cpu::{OpteronCpu, OpteronRun};
+pub use cpu::OpteronCpu;

@@ -18,9 +18,7 @@ use md_core::device::{collect_metrics, DeviceError, DeviceRun, MdDevice, RunOpti
 use md_core::observables::EnergyReport;
 use md_core::params::SimConfig;
 use md_core::scenario::ScenarioSpec;
-#[cfg(feature = "fault-inject")]
-use sim_fault::FaultPlan;
-use sim_fault::FaultStats;
+use sim_fault::{FaultPlan, FaultStats};
 use sim_obs::RunLedger;
 use sim_perf::PerfMonitor;
 
@@ -28,7 +26,6 @@ const GOLDEN_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/dev
 const ATOMS: usize = 256;
 const STEPS: usize = 3;
 /// Fault plans from light (every site recovers) to heavy (sites exhaust).
-#[cfg_attr(not(feature = "fault-inject"), allow(dead_code))]
 const PLANS: [(&str, u64, f64); 3] = [
     ("armed", 7, 0.2),
     ("armed-mid", 11, 0.4),
@@ -109,7 +106,7 @@ fn device_row(id: &str, mut dev: Box<dyn MdDevice>, sim: &SimConfig, steps: usiz
 }
 
 /// Render a Cell-internal run (the paths that have no factory kind).
-fn cell_row(id: &str, run: Result<CellRun, cell_be::CellError>, extra: &str) -> String {
+fn cell_row(id: &str, run: Result<CellRun, DeviceError>, extra: &str) -> String {
     let body = match run {
         Ok(r) => {
             let b = r.breakdown;
@@ -191,7 +188,6 @@ fn rows() -> Vec<(String, String)> {
     let id = format!("{respawn:?}");
     push(id.clone(), device_row(&id, respawn.build(), &sim, STEPS));
 
-    #[cfg(feature = "fault-inject")]
     for (name, seed, rate) in PLANS {
         for kind in paper_four() {
             let id = format!("{name}:{kind:?}");
@@ -226,7 +222,6 @@ fn rows() -> Vec<(String, String)> {
     );
     let id = "cell-traced".to_string();
     push(id.clone(), traced_row(&id, &blade, &sim));
-    #[cfg(feature = "fault-inject")]
     for (name, seed, rate) in PLANS {
         let id = format!("{name}:cell-traced");
         let device = CellBeDevice::paper_blade().with_fault_plan(FaultPlan::new(seed, rate));
@@ -237,7 +232,9 @@ fn rows() -> Vec<(String, String)> {
         ("cpu-readback", gpu::ReductionStrategy::CpuReadback),
         ("gpu-multipass", gpu::ReductionStrategy::GpuMultiPass),
     ] {
-        let r = gpu::GpuMdSimulation::geforce_7900gtx().run_md_with(&sim, STEPS, strategy);
+        let r = gpu::GpuMdSimulation::geforce_7900gtx()
+            .run_md_with(&sim, STEPS, strategy)
+            .expect("GPU run");
         let b = r.breakdown;
         let id = format!("gpu-strategy:{name}");
         let row = format!(
@@ -293,10 +290,49 @@ fn every_device_run_matches_the_golden_file() {
             .unwrap_or_else(|| panic!("row {id} missing from tests/golden/device_runs.json"));
         assert_eq!(row, want, "row {id} drifted from the golden file");
     }
-    #[cfg(feature = "fault-inject")]
     assert_eq!(
         rows.len(),
         golden_rows.len(),
         "every golden row is computed"
+    );
+}
+
+/// Bad input is a typed `Unsupported` error at the driver boundary, never a
+/// panic: an invalid `SimConfig` on every device, Cell `n_spes` outside
+/// `1..=8`, and a zero tile size.
+#[test]
+fn bad_input_is_a_typed_error_on_every_device() {
+    // Cutoff 2.5 exceeds half the 16-atom box (1.33).
+    let tiny = SimConfig::reduced_lj(16);
+    assert!(tiny.try_validate().is_err());
+    let sim = SimConfig::reduced_lj(ATOMS);
+    let mut cases: Vec<(DeviceKind, SimConfig)> = DeviceKind::parseable_roster()
+        .into_iter()
+        .map(|kind| (kind, tiny))
+        .collect();
+    for n_spes in [0, 9] {
+        let kind = DeviceKind::cell(CellRunConfig {
+            n_spes,
+            ..CellRunConfig::best()
+        });
+        cases.push((kind, sim));
+    }
+    for (kind, sim) in cases {
+        let steps = if matches!(kind, DeviceKind::CellAccel { .. }) {
+            0
+        } else {
+            1
+        };
+        let result = kind.build().run(&sim, RunOptions::steps(steps));
+        assert!(
+            matches!(result, Err(DeviceError::Unsupported(_))),
+            "{kind:?} on {} atoms: {result:?}",
+            sim.n_atoms
+        );
+    }
+    let tiled = CellBeDevice::paper_blade().run_md_tiled(&sim, 1, CellRunConfig::best(), 0);
+    assert!(
+        matches!(tiled, Err(DeviceError::Unsupported(_))),
+        "{tiled:?}"
     );
 }

@@ -144,7 +144,6 @@ fn segmented_resume_matches_unsegmented_under_threads() {
 /// Fault schedules key off the simulated run structure (eval/lane/site), not
 /// host threading: the injected-fault ledger and the recovered trajectory
 /// must be identical however the lanes were executed.
-#[cfg(feature = "fault-inject")]
 #[test]
 fn fault_injected_runs_are_bitwise_identical_to_serial() {
     use sim_fault::FaultPlan;

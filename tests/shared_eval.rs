@@ -133,7 +133,6 @@ fn scenario_flavors_match_bitwise() {
 /// Fault schedules key off the simulated run structure (eval/lane/site),
 /// which the memo never changes: the injected-fault ledger and the
 /// recovered trajectory must be identical with the memo on or off.
-#[cfg(feature = "fault-inject")]
 #[test]
 fn fault_injected_memoized_runs_match_baseline() {
     use sim_fault::FaultPlan;

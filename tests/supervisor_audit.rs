@@ -13,8 +13,7 @@
 //!    run lands exactly on the requested step count, and recovery only ever
 //!    *adds* simulated time relative to the fault-free run.
 //!
-//! Node-level faults live in the cluster model, so none of this needs the
-//! `fault-inject` feature.
+//! Node-level faults live in the cluster model, not in the devices.
 
 use harness::{
     run_cluster_supervised, ClusterKind, ClusterRecovery, DeviceKind, RecoveryEvent,
