@@ -22,6 +22,7 @@ use md_core::observables::EnergyReport;
 use md_core::params::SimConfig;
 use md_core::system::ParticleSystem;
 use sim_perf::PerfMonitor;
+use vecmath::Real;
 
 /// How SPE threads are managed across time steps (Figure 6).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -133,7 +134,7 @@ impl CellBeDevice {
 
     /// Run `steps` from a fresh lattice under the cost model `start` builds,
     /// reporting the Cell's own breakdown.
-    fn drive<S, F>(
+    fn drive<'t, P, F>(
         &self,
         sim: &SimConfig,
         steps: usize,
@@ -142,8 +143,11 @@ impl CellBeDevice {
         start: F,
     ) -> Result<CellRun, DeviceError>
     where
-        S: StepCost + CellPath,
-        F: FnOnce(&ParticleSystem<S::Real>, &mut PerfMonitor) -> Result<S, DeviceError>,
+        P: CellPath,
+        F: FnOnce(
+            &ParticleSystem<P::Real>,
+            &mut PerfMonitor,
+        ) -> Result<CellCost<'t, P>, DeviceError>,
     {
         let (mut sys, start_step) = start_system(sim, None)?;
         let mut perf = PerfMonitor::new();
@@ -157,7 +161,7 @@ impl CellBeDevice {
             HostParallelism::Serial,
             &mut perf,
         )?;
-        let tl = cost.timeline();
+        let tl = &cost.tl;
         Ok(CellRun {
             sim_seconds: run.sim_seconds,
             breakdown: tl.breakdown,
@@ -197,7 +201,7 @@ impl CellBeDevice {
             tracer.name_track(spe_track(s), format!("SPE {s}"));
         }
         self.drive(sim, steps, self.driver, run, |sys, perf| {
-            Resident::new(self.config, run, sim, sys, Some(tracer), perf)
+            Resident::start(self.config, run, sim, sys, Some(tracer), perf)
         })
     }
 
@@ -219,7 +223,7 @@ impl CellBeDevice {
         tile_atoms: usize,
     ) -> Result<CellRun, DeviceError> {
         self.drive(sim, steps, self.fault_free(), run, |sys, _| {
-            Tiled::new(self.config, run, tile_atoms, sim, sys)
+            Tiled::start(self.config, run, tile_atoms, sim, sys)
         })
     }
 
@@ -237,7 +241,7 @@ impl CellBeDevice {
         run: CellRunConfig,
     ) -> Result<CellRun, DeviceError> {
         self.drive(sim, steps, self.fault_free(), run, |sys, _| {
-            Double::new(self.config, run, sim, sys)
+            Double::start(self.config, run, sim, sys)
         })
     }
 
@@ -246,7 +250,7 @@ impl CellBeDevice {
     /// penalty; no SPEs, no DMA, no thread launches.
     pub fn run_md_ppe_only(&self, sim: &SimConfig, steps: usize) -> Result<CellRun, DeviceError> {
         self.drive(sim, steps, self.fault_free(), PPE_ONLY, |sys, _| {
-            Ok(PpeOnly::new(self.config, sim, sys))
+            Ok(PpeOnly::start(self.config, sim, sys))
         })
     }
 
@@ -337,7 +341,7 @@ impl From<CellError> for DeviceError {
 /// The PPE side every Cell path shares: integration passes, SPE thread
 /// management, the run's cycle breakdown and kernel totals, and the cursor
 /// of the optional execution timeline.
-struct Timeline<'t> {
+pub struct Timeline<'t> {
     config: CellConfig,
     ppe: PpeModel,
     n: usize,
@@ -355,9 +359,54 @@ struct Timeline<'t> {
     hazard: Vec<HazardChecker>,
 }
 
-/// Every Cell cost model exposes its shared PPE side.
-trait CellPath {
-    fn timeline(&self) -> &Timeline<'_>;
+/// One Cell execution path: its force evaluation and counters. The PPE
+/// side, shared by every path, is the [`Timeline`] it is handed.
+pub trait CellPath {
+    type Real: Real;
+
+    fn eval(&mut self, tl: &mut Timeline<'_>, e: Eval<'_, Self::Real>) -> Result<f64, CellError>;
+
+    /// Mirror the path's counters into `perf` (the tiled, double and
+    /// PPE-only paths register none).
+    fn sample(&self, _tl: &Timeline<'_>, _perf: &mut PerfMonitor) {}
+
+    fn finish(&self, tl: &mut Timeline<'_>, _perf: &PerfMonitor) -> CostReport {
+        let s = tl.stats;
+        let ops =
+            s.pairs_tested as f64 * FLOPS_PER_PAIR + s.interactions as f64 * FLOPS_PER_INTERACTION;
+        tl.report(Vec::new(), ops, 0.0)
+    }
+}
+
+/// A Cell cost model: one path on the shared PPE timeline.
+pub struct CellCost<'t, P> {
+    tl: Timeline<'t>,
+    path: P,
+}
+
+impl<P: CellPath> StepCost for CellCost<'_, P> {
+    type Real = P::Real;
+
+    fn charge_drift(&mut self) {
+        self.tl.charge_drift();
+    }
+
+    fn evaluate(&mut self, e: Eval<'_, P::Real>) -> Result<f64, DeviceError> {
+        Ok(self.path.eval(&mut self.tl, e)?)
+    }
+
+    fn charge_kick(&mut self) {
+        self.tl.charge_kick();
+    }
+
+    fn sample(&mut self, perf: &mut PerfMonitor) -> f64 {
+        self.path.sample(&self.tl, perf);
+        self.tl.sim_seconds()
+    }
+
+    fn finish(&mut self, perf: &PerfMonitor) -> CostReport {
+        self.path.finish(&mut self.tl, perf)
+    }
 }
 
 impl<'t> Timeline<'t> {
@@ -522,8 +571,7 @@ fn spes(run: CellRunConfig, config: &CellConfig) -> Vec<Spe> {
 /// The resident SPE-offload port (paper section 5.1): positions are DMA'd
 /// into each local store, each SPE computes accelerations for its slice by
 /// scanning all N positions, results are DMA'd back, the PPE integrates.
-pub struct Resident<'t> {
-    tl: Timeline<'t>,
+pub struct Resident {
     run: CellRunConfig,
     dma: DmaEngine,
     params: SpeLanePhysics,
@@ -541,15 +589,15 @@ pub struct Resident<'t> {
     mailbox_round_trips: u64,
 }
 
-impl<'t> Resident<'t> {
-    fn new(
+impl Resident {
+    fn start<'t>(
         config: CellConfig,
         run: CellRunConfig,
         sim: &SimConfig,
         sys: &ParticleSystem<f32>,
         tracer: Option<&'t mut mdea_trace::Tracer>,
         perf: &mut PerfMonitor,
-    ) -> Result<Self, DeviceError> {
+    ) -> Result<CellCost<'t, Self>, DeviceError> {
         check_spes(run, &config)?;
         let n = sys.n();
         let mut spes = spes(run, &config);
@@ -565,8 +613,7 @@ impl<'t> Resident<'t> {
         {
             tl.hazard = (0..run.n_spes).map(|_| HazardChecker::new()).collect();
         }
-        Ok(Self {
-            tl,
+        let path = Self {
             run,
             dma: DmaEngine::new(&config),
             params: lane_physics(sim, sys),
@@ -580,14 +627,19 @@ impl<'t> Resident<'t> {
             dma_bytes_in: 0.0,
             dma_bytes_out: 0.0,
             mailbox_round_trips: 0,
-        })
+        };
+        Ok(CellCost { tl, path })
     }
+}
 
-    fn eval(&mut self, e: Eval<'_, f32>) -> Result<f64, CellError> {
-        let n = self.tl.n;
+impl CellPath for Resident {
+    type Real = f32;
+
+    fn eval(&mut self, tl: &mut Timeline<'_>, e: Eval<'_, f32>) -> Result<f64, CellError> {
+        let n = tl.n;
         let eval = e.index;
         let run = self.run;
-        self.tl.launch(&mut self.spes, run.policy, eval, e.faults)?;
+        tl.launch(&mut self.spes, run.policy, eval, e.faults)?;
 
         // Serialize current positions into main memory.
         for (i, p) in e.positions.iter().enumerate() {
@@ -611,7 +663,7 @@ impl<'t> Resident<'t> {
         {
             let mut acc_rest: &mut [u8] = acc_mem;
             #[cfg(feature = "hazard-check")]
-            let mut hz_iter = self.tl.hazard.iter_mut();
+            let mut hz_iter = tl.hazard.iter_mut();
             for (s, spe) in self.spes.iter_mut().enumerate() {
                 let (lo, hi) = self.slices[s];
                 let (window, rest) = std::mem::take(&mut acc_rest).split_at_mut((hi - lo) * 16);
@@ -626,7 +678,7 @@ impl<'t> Resident<'t> {
                 });
             }
         }
-        let (config, dma, params) = (&self.tl.config, &self.dma, self.params);
+        let (config, dma, params) = (&tl.config, &self.dma, self.params);
         let (regions, slices) = (&self.regions, &self.slices);
         let faults: &Faults = e.faults;
         let shared = e.shared_eval && run.variant == SpeKernelVariant::SimdAcceleration;
@@ -742,14 +794,14 @@ impl<'t> Resident<'t> {
         drop(lanes);
 
         // Serial fold in SPE order: fault ledger, reductions, timeline.
-        let clk = self.tl.clk();
-        let mbox = self.tl.config.mailbox_cycles;
+        let clk = tl.clk();
+        let mbox = tl.config.mailbox_cycles;
         let mut max_spe_cycles = 0.0f64;
         let mut max_spe_dma = 0.0f64;
         let mut pe_total = 0.0f32;
         for (s, lane_out) in lane_outs.into_iter().enumerate() {
             let out = lane_out?;
-            let t_now = self.tl.t_now;
+            let t_now = tl.t_now;
             let mut commit = |(site, out, unit): (FaultSite, SiteOutcome, f64)| {
                 e.faults.commit(site, out, unit, clk).map_err(exhausted)
             };
@@ -757,19 +809,19 @@ impl<'t> Resident<'t> {
             let reissue = commit(g)?;
             let spin = commit(t)?;
             if reissue + spin > 0.0 {
-                if let Some(tr) = self.tl.tracer.as_deref_mut() {
+                if let Some(tr) = tl.tracer.as_deref_mut() {
                     tr.instant(spe_track(s), "fault: dma get retried", "fault", t_now);
                 }
             }
             if commit(p)? > 0.0 {
-                if let Some(tr) = self.tl.tracer.as_deref_mut() {
+                if let Some(tr) = tl.tracer.as_deref_mut() {
                     tr.instant(spe_track(s), "fault: dma put retried", "fault", t_now);
                 }
             }
             let (lo, hi) = self.slices[s];
             let spe_cycles = out.stats.cycles + mbox;
             self.mailbox_round_trips += out.round_trips;
-            if let Some(tr) = self.tl.tracer.as_deref_mut() {
+            if let Some(tr) = tl.tracer.as_deref_mut() {
                 // The SPEs run concurrently: each track starts at the same
                 // phase-begin time.
                 let mut t = t_now;
@@ -785,16 +837,16 @@ impl<'t> Resident<'t> {
             }
             max_spe_cycles = max_spe_cycles.max(spe_cycles);
             max_spe_dma = max_spe_dma.max(out.dma_in + out.dma_out);
-            self.tl.add_stats(&out.stats);
+            tl.add_stats(&out.stats);
             pe_total += out.pe_slice;
             self.spe_dma_bytes[s] += ((n + hi - lo) * 16) as f64;
             self.spe_dma_stall[s] += out.dma_in + out.dma_out;
             self.dma_bytes_in += (n * 16) as f64;
             self.dma_bytes_out += ((hi - lo) * 16) as f64;
         }
-        self.tl.breakdown.compute += max_spe_cycles;
-        self.tl.breakdown.dma += max_spe_dma;
-        self.tl.t_now += (max_spe_cycles + max_spe_dma) / clk;
+        tl.breakdown.compute += max_spe_cycles;
+        tl.breakdown.dma += max_spe_dma;
+        tl.t_now += (max_spe_cycles + max_spe_dma) / clk;
 
         // Read accelerations back into the host-side system.
         for (i, acc) in e.accelerations.iter_mut().enumerate() {
@@ -803,30 +855,8 @@ impl<'t> Resident<'t> {
         }
         Ok((pe_total * 0.5) as f64)
     }
-}
 
-impl CellPath for Resident<'_> {
-    fn timeline(&self) -> &Timeline<'_> {
-        &self.tl
-    }
-}
-
-impl StepCost for Resident<'_> {
-    type Real = f32;
-
-    fn charge_drift(&mut self) {
-        self.tl.charge_drift();
-    }
-
-    fn evaluate(&mut self, e: Eval<'_, f32>) -> Result<f64, DeviceError> {
-        Ok(self.eval(e)?)
-    }
-
-    fn charge_kick(&mut self) {
-        self.tl.charge_kick();
-    }
-
-    fn sample(&mut self, p: &mut PerfMonitor) -> f64 {
+    fn sample(&self, tl: &Timeline<'_>, p: &mut PerfMonitor) {
         let h = &self.handles;
         for s in 0..self.spe_dma_bytes.len() {
             p.record_total(h.spe_dma_bytes[s], self.spe_dma_bytes[s]);
@@ -834,7 +864,7 @@ impl StepCost for Resident<'_> {
         }
         p.record_total(h.dma_bytes_in, self.dma_bytes_in);
         p.record_total(h.dma_bytes_out, self.dma_bytes_out);
-        let stats = &self.tl.stats;
+        let stats = &tl.stats;
         let flops = stats.pairs_tested as f64 * FLOPS_PER_PAIR
             + stats.interactions as f64 * FLOPS_PER_INTERACTION;
         let simd = simd_fraction(self.run.variant) * flops;
@@ -842,14 +872,13 @@ impl StepCost for Resident<'_> {
         p.record_total(h.scalar_flops, flops - simd);
         p.record_total(h.pairs, stats.pairs_tested as f64);
         p.record_total(h.interactions, stats.interactions as f64);
-        p.record_total(h.dma_stall_cycles, self.tl.breakdown.dma);
+        p.record_total(h.dma_stall_cycles, tl.breakdown.dma);
         p.record_total(h.mailbox_round_trips, self.mailbox_round_trips as f64);
-        self.tl.sim_seconds()
     }
 
-    fn finish(&mut self, perf: &PerfMonitor) -> CostReport {
-        let clk = self.tl.clk();
-        let sim_seconds = self.tl.sim_seconds();
+    fn finish(&self, tl: &mut Timeline<'_>, perf: &PerfMonitor) -> CostReport {
+        let clk = tl.clk();
+        let sim_seconds = tl.sim_seconds();
         let fraction = |cycles: f64| {
             if sim_seconds == 0.0 {
                 0.0
@@ -857,7 +886,7 @@ impl StepCost for Resident<'_> {
                 (cycles / clk) / sim_seconds
             }
         };
-        let b = self.tl.breakdown;
+        let b = tl.breakdown;
         let derived = vec![
             ("dma_fraction", fraction(b.dma)),
             ("launch_fraction", fraction(b.spawn)),
@@ -866,7 +895,7 @@ impl StepCost for Resident<'_> {
             counter_total(perf, "cell.flops.simd") + counter_total(perf, "cell.flops.scalar");
         let bytes =
             counter_total(perf, "cell.dma.bytes_in") + counter_total(perf, "cell.dma.bytes_out");
-        self.tl.report(derived, flops, bytes)
+        tl.report(derived, flops, bytes)
     }
 }
 
@@ -880,7 +909,6 @@ struct TiledRegions {
 
 /// The tiled, double-buffered port ([`CellBeDevice::run_md_tiled`]).
 struct Tiled {
-    tl: Timeline<'static>,
     run: CellRunConfig,
     tile_atoms: usize,
     dma: DmaEngine,
@@ -892,13 +920,13 @@ struct Tiled {
 }
 
 impl Tiled {
-    fn new(
+    fn start(
         config: CellConfig,
         run: CellRunConfig,
         tile_atoms: usize,
         sim: &SimConfig,
         sys: &ParticleSystem<f32>,
-    ) -> Result<Self, DeviceError> {
+    ) -> Result<CellCost<'static, Self>, DeviceError> {
         check_spes(run, &config)?;
         if tile_atoms == 0 {
             return Err(DeviceError::Unsupported(
@@ -917,8 +945,7 @@ impl Tiled {
                 tiles: [alloc(tile_atoms)?, alloc(tile_atoms)?],
             });
         }
-        Ok(Self {
-            tl: Timeline::new(config, n, sim, None),
+        let path = Self {
             run,
             tile_atoms,
             dma: DmaEngine::new(&config),
@@ -927,15 +954,22 @@ impl Tiled {
             spes,
             regions,
             slices,
+        };
+        Ok(CellCost {
+            tl: Timeline::new(config, n, sim, None),
+            path,
         })
     }
+}
 
-    fn eval(&mut self, e: Eval<'_, f32>) -> Result<f64, CellError> {
-        let n = self.tl.n;
+impl CellPath for Tiled {
+    type Real = f32;
+
+    fn eval(&mut self, tl: &mut Timeline<'_>, e: Eval<'_, f32>) -> Result<f64, CellError> {
+        let n = tl.n;
         let (run, dma, params, tile_atoms) = (self.run, self.dma, self.params, self.tile_atoms);
-        let config = self.tl.config;
-        self.tl
-            .launch(&mut self.spes, run.policy, e.index, e.faults)?;
+        let config = tl.config;
+        tl.launch(&mut self.spes, run.policy, e.index, e.faults)?;
         for (i, p) in e.positions.iter().enumerate() {
             write_quad(&mut self.main_memory, i, [p.x, p.y, p.z, 0.0]);
         }
@@ -997,7 +1031,7 @@ impl Tiled {
                 );
                 dma_cycles.push(d);
                 compute_cycles.push(stats.cycles);
-                self.tl.add_stats(&stats);
+                tl.add_stats(&stats);
             }
             let mut path = dma_i + zero_cycles + dma_cycles[0];
             for t in 0..n_tiles {
@@ -1028,7 +1062,7 @@ impl Tiled {
                 spe.stop_thread();
             }
         }
-        self.tl.breakdown.compute += max_spe_path;
+        tl.breakdown.compute += max_spe_path;
 
         for (i, acc) in e.accelerations.iter_mut().enumerate() {
             let q = read_quad(&self.main_memory, n + i);
@@ -1040,7 +1074,6 @@ impl Tiled {
 
 /// The double-precision port ([`CellBeDevice::run_md_double`]).
 struct Double {
-    tl: Timeline<'static>,
     run: CellRunConfig,
     dma: DmaEngine,
     params: SpeLanePhysicsF64,
@@ -1052,12 +1085,12 @@ struct Double {
 }
 
 impl Double {
-    fn new(
+    fn start(
         config: CellConfig,
         run: CellRunConfig,
         sim: &SimConfig,
         sys: &ParticleSystem<f64>,
-    ) -> Result<Self, DeviceError> {
+    ) -> Result<CellCost<'static, Self>, DeviceError> {
         check_spes(run, &config)?;
         let n = sys.n();
         let mut spes = spes(run, &config);
@@ -1067,8 +1100,7 @@ impl Double {
             let acc = spe.alloc_quads(2 * n).map_err(CellError::from)?;
             regions.push((pos, acc));
         }
-        Ok(Self {
-            tl: Timeline::new(config, n, sim, None),
+        let path = Self {
             run,
             dma: DmaEngine::new(&config),
             params: SpeLanePhysicsF64 {
@@ -1080,15 +1112,22 @@ impl Double {
             spes,
             regions,
             slices: partition(n, run.n_spes),
+        };
+        Ok(CellCost {
+            tl: Timeline::new(config, n, sim, None),
+            path,
         })
     }
+}
 
-    fn eval(&mut self, e: Eval<'_, f64>) -> Result<f64, CellError> {
-        let n = self.tl.n;
+impl CellPath for Double {
+    type Real = f64;
+
+    fn eval(&mut self, tl: &mut Timeline<'_>, e: Eval<'_, f64>) -> Result<f64, CellError> {
+        let n = tl.n;
         let (run, dma, params) = (self.run, self.dma, self.params);
-        let config = self.tl.config;
-        self.tl
-            .launch(&mut self.spes, run.policy, e.index, e.faults)?;
+        let config = tl.config;
+        tl.launch(&mut self.spes, run.policy, e.index, e.faults)?;
         for (i, p) in e.positions.iter().enumerate() {
             write_dquad(&mut self.main_memory, 2 * i, [p.x, p.y]);
             write_dquad(&mut self.main_memory, 2 * i + 1, [p.z, 0.0]);
@@ -1137,14 +1176,14 @@ impl Double {
             spe.charge(dma_in + spe_cycles + dma_out);
             max_spe_cycles = max_spe_cycles.max(spe_cycles);
             max_spe_dma = max_spe_dma.max(dma_in + dma_out);
-            self.tl.add_stats(&stats);
+            tl.add_stats(&stats);
             pe_total += pe_slice;
             if run.policy == SpawnPolicy::RespawnEveryStep {
                 spe.stop_thread();
             }
         }
-        self.tl.breakdown.compute += max_spe_cycles;
-        self.tl.breakdown.dma += max_spe_dma;
+        tl.breakdown.compute += max_spe_cycles;
+        tl.breakdown.dma += max_spe_dma;
 
         for (i, acc) in e.accelerations.iter_mut().enumerate() {
             let [ax, ay] = read_dquad(&self.main_memory, 2 * n + 2 * i);
@@ -1157,7 +1196,6 @@ impl Double {
 
 /// The PPE-only baseline ([`CellBeDevice::run_md_ppe_only`], [`CellPpeMd`]).
 pub struct PpeOnly {
-    tl: Timeline<'static>,
     params: SpeLanePhysics,
     /// The PPE works straight out of main memory; the kernel runs over a
     /// scratch "store" big enough for both arrays.
@@ -1167,12 +1205,15 @@ pub struct PpeOnly {
 }
 
 impl PpeOnly {
-    fn new(config: CellConfig, sim: &SimConfig, sys: &ParticleSystem<f32>) -> Self {
+    fn start(
+        config: CellConfig,
+        sim: &SimConfig,
+        sys: &ParticleSystem<f32>,
+    ) -> CellCost<'static, Self> {
         let n = sys.n();
         // The layout is fixed, so the regions are constructed directly —
         // nothing can fail here.
-        Self {
-            tl: Timeline::new(config, n, sim, None),
+        let path = Self {
             params: lane_physics(sim, sys),
             scratch: LocalStore::new(2 * n * 16),
             pos_r: LsRegion {
@@ -1183,54 +1224,19 @@ impl PpeOnly {
                 offset: n * 16,
                 len: n * 16,
             },
+        };
+        CellCost {
+            tl: Timeline::new(config, n, sim, None),
+            path,
         }
     }
 }
 
-macro_rules! cell_step_cost {
-    ($ty:ty, $real:ty) => {
-        impl CellPath for $ty {
-            fn timeline(&self) -> &Timeline<'_> {
-                &self.tl
-            }
-        }
+impl CellPath for PpeOnly {
+    type Real = f32;
 
-        impl StepCost for $ty {
-            type Real = $real;
-
-            fn charge_drift(&mut self) {
-                self.tl.charge_drift();
-            }
-
-            fn evaluate(&mut self, e: Eval<'_, $real>) -> Result<f64, DeviceError> {
-                Ok(self.eval(e)?)
-            }
-
-            fn charge_kick(&mut self) {
-                self.tl.charge_kick();
-            }
-
-            fn sample(&mut self, _perf: &mut PerfMonitor) -> f64 {
-                self.tl.sim_seconds()
-            }
-
-            fn finish(&mut self, _perf: &PerfMonitor) -> CostReport {
-                let s = self.tl.stats;
-                let ops = s.pairs_tested as f64 * FLOPS_PER_PAIR
-                    + s.interactions as f64 * FLOPS_PER_INTERACTION;
-                self.tl.report(Vec::new(), ops, 0.0)
-            }
-        }
-    };
-}
-
-cell_step_cost!(Tiled, f32);
-cell_step_cost!(Double, f64);
-cell_step_cost!(PpeOnly, f32);
-
-impl PpeOnly {
-    fn eval(&mut self, e: Eval<'_, f32>) -> Result<f64, CellError> {
-        let n = self.tl.n;
+    fn eval(&mut self, tl: &mut Timeline<'_>, e: Eval<'_, f32>) -> Result<f64, CellError> {
+        let n = tl.n;
         for (i, p) in e.positions.iter().enumerate() {
             self.scratch.store_quad(self.pos_r, i, [p.x, p.y, p.z, 0.0]);
         }
@@ -1242,10 +1248,10 @@ impl PpeOnly {
             n,
             self.params,
             SpeKernelVariant::Original,
-            &self.tl.config.costs,
+            &tl.config.costs,
         );
-        self.tl.breakdown.compute += self.tl.ppe.scale_kernel_cycles(stats.cycles);
-        self.tl.add_stats(&stats);
+        tl.breakdown.compute += tl.ppe.scale_kernel_cycles(stats.cycles);
+        tl.add_stats(&stats);
         for (i, acc) in e.accelerations.iter_mut().enumerate() {
             let q = self.scratch.load_quad(self.acc_r, i);
             *acc = vecmath::Vec3::new(q[0], q[1], q[2]);
@@ -1416,7 +1422,7 @@ impl CellMd {
 
 impl CostModel for CellMd {
     type Real = f32;
-    type Run<'a> = Resident<'static>;
+    type Run<'a> = CellCost<'static, Resident>;
 
     fn label(&self) -> String {
         format!("cell-{}spe", self.run.n_spes)
@@ -1435,8 +1441,8 @@ impl CostModel for CellMd {
         sim: &SimConfig,
         sys: &ParticleSystem<f32>,
         perf: &mut PerfMonitor,
-    ) -> Result<Resident<'static>, DeviceError> {
-        Resident::new(self.device.config, self.run, sim, sys, None, perf)
+    ) -> Result<CellCost<'static, Resident>, DeviceError> {
+        Resident::start(self.device.config, self.run, sim, sys, None, perf)
     }
 }
 
@@ -1456,7 +1462,7 @@ impl CellPpeMd {
 
 impl CostModel for CellPpeMd {
     type Real = f32;
-    type Run<'a> = PpeOnly;
+    type Run<'a> = CellCost<'static, PpeOnly>;
 
     fn label(&self) -> String {
         "cell-ppe".to_string()
@@ -1476,8 +1482,8 @@ impl CostModel for CellPpeMd {
         sim: &SimConfig,
         sys: &ParticleSystem<f32>,
         _perf: &mut PerfMonitor,
-    ) -> Result<PpeOnly, DeviceError> {
-        Ok(PpeOnly::new(self.device.config, sim, sys))
+    ) -> Result<CellCost<'static, PpeOnly>, DeviceError> {
+        Ok(PpeOnly::start(self.device.config, sim, sys))
     }
 }
 
@@ -1564,7 +1570,7 @@ mod tests {
         run: CellRunConfig,
     ) -> Result<CellRun, DeviceError> {
         device.drive(sim, steps, device.driver, run, |sys, perf| {
-            Resident::new(device.config, run, sim, sys, None, perf)
+            Resident::start(device.config, run, sim, sys, None, perf)
         })
     }
 

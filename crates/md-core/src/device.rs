@@ -14,8 +14,8 @@
 //!   and simulated seconds. This is what makes sweep results memoizable.
 //! - **Segment transparency.** Starting from a [`SystemCheckpoint`] and
 //!   running `k` steps, then continuing from the returned checkpoint, must
-//!   reproduce the unsegmented trajectory bit for bit (devices re-prime
-//!   accelerations from positions on entry).
+//!   reproduce the unsegmented trajectory bit for bit (the step driver
+//!   re-primes accelerations from positions on entry).
 //! - **Free observation.** Passing a [`PerfMonitor`] must not change the
 //!   trajectory or the simulated clock.
 //! - **Attribution identity.** [`DeviceRun::attribution`] partitions
@@ -307,9 +307,10 @@ pub fn collect_metrics(
 /// Record one completed device run into a ledger: attribution phases laid
 /// end-to-end from the ledger's current sim offset, a closing `sim_seconds`
 /// counter, every perf-counter series, and fault totals when any fault
-/// fired. Devices call this at the end of `run` when the caller attached a
-/// ledger; like the perf monitor, it only reads the run's outputs, so the
-/// trajectory and the simulated clock are untouched.
+/// fired. The step driver ([`crate::driver`]) calls this at the end of a
+/// run when the caller attached a ledger; like the perf monitor, it only
+/// reads the run's outputs, so the trajectory and the simulated clock are
+/// untouched.
 pub fn ledger_record_run(
     ledger: &mut RunLedger,
     source: &str,
@@ -340,7 +341,7 @@ pub fn ledger_record_run(
 }
 
 /// Final value of a named counter on a monitor (0 if never registered).
-/// Device impls use this to read their own traffic counters back when
+/// Cost models use this to read their own traffic counters back when
 /// computing [`DeviceRun::bytes_moved`].
 pub fn counter_total(perf: &PerfMonitor, name: &str) -> f64 {
     perf.counters()
