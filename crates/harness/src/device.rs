@@ -275,7 +275,7 @@ impl DeviceKind {
     }
 
     /// [`DeviceKind::build_faulted`] on the interpretive path — the
-    /// fault-injected baseline `tests/shared_eval.rs` pits the shared
+    /// faulted baseline `tests/shared_eval.rs` pits the shared
     /// evaluator against. Fault schedules key off the simulated run
     /// structure, which the switch never changes, so the two must agree on
     /// every injected site.

@@ -10,7 +10,7 @@
 //!    fault on retry k" is a pure function of `(seed, site, retry)`, drawn
 //!    through the in-tree `rand` [`rand::RngCore`] machinery. Identical seeds
 //!    give identical fault schedules regardless of the order sites are
-//!    queried in, so fault-injected runs are exactly reproducible.
+//!    queried in, so runs with injected faults are exactly reproducible.
 //! 2. **Simulated time only.** Every injected fault, timeout, and retry is
 //!    charged to a [`FaultClock`] in *simulated* seconds (device cycles over
 //!    the device clock). Host time never enters the model — sim-vet's
