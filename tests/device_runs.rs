@@ -2,8 +2,8 @@
 //!
 //! For each kind in [`harness::DeviceKind::parseable_roster`] at 256 atoms ×
 //! 3 steps (0 steps for the Figure 5 probe), plus armed fault plans, the
-//! Morse/NVT scenario, and the Cell's tiled, double-precision and traced
-//! paths, this pins everything a run reports: the canonical ledger lines,
+//! Morse/NVT scenario, the Cell's tiled, double-precision and traced
+//! paths, and the f64 devices at 512 atoms, this pins everything a run reports: the canonical ledger lines,
 //! the `collect_metrics` record, ops and bytes moved, the fault statistics,
 //! the energies, and an FNV-1a hash of the final checkpoint.
 //!
@@ -25,6 +25,9 @@ use sim_perf::PerfMonitor;
 const GOLDEN_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/device_runs.json");
 const ATOMS: usize = 256;
 const STEPS: usize = 3;
+/// 512 atoms span 3 cutoff-wide bins per box edge, the fewest the binned
+/// host rows use (256 atoms span 2, which takes the per-row path).
+const BINNED_ATOMS: usize = 512;
 /// Fault plans from light (every site recovers) to heavy (sites exhaust).
 const PLANS: [(&str, u64, f64); 3] = [
     ("armed", 7, 0.2),
@@ -182,6 +185,22 @@ fn rows() -> Vec<(String, String)> {
     for kind in paper_four().into_iter().chain([DeviceKind::CellPpe]) {
         let id = format!("morse-nvt:{}", kind.label());
         push(id.clone(), device_row(&id, kind.build(), &morse, STEPS));
+    }
+
+    let binned = SimConfig::reduced_lj(BINNED_ATOMS);
+    let binned_morse = binned.with_scenario(ScenarioSpec::morse_nvt());
+    for (kind, sim) in [
+        (DeviceKind::Opteron, &binned),
+        (
+            DeviceKind::Mta {
+                mode: mta::ThreadingMode::FullyMultithreaded,
+            },
+            &binned,
+        ),
+        (DeviceKind::Opteron, &binned_morse),
+    ] {
+        let id = format!("n{BINNED_ATOMS}:{}:{}", sim.scenario.cache_token(), kind.label());
+        push(id.clone(), device_row(&id, kind.build(), sim, STEPS));
     }
 
     let respawn = paper_four()[1];
