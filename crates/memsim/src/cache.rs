@@ -1,4 +1,7 @@
 //! A single level of set-associative, LRU, write-allocate cache.
+//!
+//! Each set keeps its tags in recency order, so a hit is a short scan plus a
+//! shift and LRU needs no clock (DESIGN.md §18).
 
 /// Whether an access reads or writes. Both allocate a line on miss
 /// (write-allocate, the Opteron K8's policy for its write-back caches).
@@ -54,6 +57,10 @@ impl CacheConfig {
             "capacity must be a multiple of line_bytes * associativity"
         );
         assert!(self.num_sets() >= 1, "cache must contain at least one set");
+        assert!(
+            self.line_bytes > 1 || self.num_sets() > 1,
+            "a single set of 1-byte lines is not supported"
+        );
     }
 }
 
@@ -79,47 +86,51 @@ impl CacheStats {
     }
 }
 
-/// One line's bookkeeping: the tag it holds and an LRU timestamp.
-#[derive(Clone, Copy, Debug)]
-struct Line {
-    tag: u64,
-    valid: bool,
-    last_use: u64,
-}
+/// The tag of an empty way. Real tags never reach it: a tag is the block
+/// number with the set bits removed, and validation rejects the one
+/// geometry (1-byte lines in a single set) whose tags span all of `u64`.
+const EMPTY: u64 = u64::MAX;
 
 /// A set-associative LRU cache over a 64-bit byte address space.
 ///
 /// Only presence is tracked (no data): the simulators compute values
 /// functionally and use the cache purely for timing.
+///
+/// Each set is a slice of `ways` tags in recency order: most recent first,
+/// empty ways ([`EMPTY`]) at the tail. A hit moves its tag to the front and
+/// a miss shifts the set down one way, dropping the least recent tag. That
+/// order is all LRU ever consults, so this storage is already the canonical
+/// replacement state (see [`Cache::replacement_state_eq`]).
 #[derive(Clone, Debug)]
 pub struct Cache {
     config: CacheConfig,
-    sets: Vec<Vec<Line>>,
-    clock: u64,
+    ways: usize,
+    /// `num_sets × ways` tags, set after set.
+    tags: Vec<u64>,
     stats: CacheStats,
     line_shift: u32,
+    /// Power-of-two set counts split block numbers with a mask and a shift;
+    /// any other count falls back to `%` and `/` by `num_sets`.
+    pow2_sets: bool,
     set_mask: u64,
+    set_shift: u32,
+    num_sets: u64,
 }
 
 impl Cache {
     pub fn new(config: CacheConfig) -> Self {
         config.validate();
         let num_sets = config.num_sets();
-        let lines = vec![
-            Line {
-                tag: 0,
-                valid: false,
-                last_use: 0,
-            };
-            config.associativity
-        ];
         Self {
             config,
-            sets: vec![lines; num_sets],
-            clock: 0,
+            ways: config.associativity,
+            tags: vec![EMPTY; num_sets * config.associativity],
             stats: CacheStats::default(),
             line_shift: config.line_bytes.trailing_zeros(),
-            set_mask: (num_sets as u64).next_power_of_two() - 1,
+            pow2_sets: num_sets.is_power_of_two(),
+            set_mask: num_sets as u64 - 1,
+            set_shift: num_sets.trailing_zeros(),
+            num_sets: num_sets as u64,
         }
     }
 
@@ -137,64 +148,75 @@ impl Cache {
 
     /// Flush all lines (e.g. between experiment repetitions).
     pub fn invalidate_all(&mut self) {
-        for set in &mut self.sets {
-            for line in set {
-                line.valid = false;
-            }
+        self.tags.fill(EMPTY);
+    }
+
+    /// Set index and tag of `addr`'s line. The shift/mask split equals the
+    /// `%`/`/` one whenever the set count is a power of two.
+    #[inline]
+    fn index_tag(&self, addr: u64) -> (usize, u64) {
+        let block = addr >> self.line_shift;
+        if self.pow2_sets {
+            ((block & self.set_mask) as usize, block >> self.set_shift)
+        } else {
+            ((block % self.num_sets) as usize, block / self.num_sets)
         }
     }
 
     #[inline]
-    fn index_tag(&self, addr: u64) -> (usize, u64) {
-        let block = addr >> self.line_shift;
-        let num_sets = self.sets.len() as u64;
-        let idx = if num_sets.is_power_of_two() {
-            (block & self.set_mask) as usize
-        } else {
-            (block % num_sets) as usize
-        };
-        (idx, block / num_sets.max(1))
+    fn set(&self, idx: usize) -> &[u64] {
+        &self.tags[idx * self.ways..(idx + 1) * self.ways]
     }
 
     /// Access one byte address. Returns `true` on hit. A miss allocates the
     /// line, evicting the LRU way if the set is full.
+    #[inline]
     pub fn access(&mut self, addr: u64, _kind: AccessKind) -> bool {
-        self.clock += 1;
         let (idx, tag) = self.index_tag(addr);
-        let set = &mut self.sets[idx];
-
-        for line in set.iter_mut() {
-            if line.valid && line.tag == tag {
-                line.last_use = self.clock;
+        let ways = self.ways;
+        let set = &mut self.tags[idx * ways..(idx + 1) * ways];
+        // The set's most recent line: a hit that leaves the order as it is.
+        if set[0] == tag {
+            self.stats.hits += 1;
+            return true;
+        }
+        // Shift the more recent tags down one way over the hit (or, on a
+        // miss, over the least recent way) and put `tag` in front.
+        let mut prev = tag;
+        for way in set.iter_mut() {
+            let t = std::mem::replace(way, prev);
+            if t == tag {
                 self.stats.hits += 1;
                 return true;
             }
+            prev = t;
         }
-
         self.stats.misses += 1;
-        // Prefer an invalid way; otherwise evict the least recently used.
-        let victim = if let Some(pos) = set.iter().position(|l| !l.valid) {
-            pos
-        } else {
+        if prev != EMPTY {
             self.stats.evictions += 1;
-            set.iter()
-                .enumerate()
-                .min_by_key(|(_, l)| l.last_use)
-                .map(|(i, _)| i)
-                .expect("associativity >= 1")
-        };
-        set[victim] = Line {
-            tag,
-            valid: true,
-            last_use: self.clock,
-        };
+        }
         false
+    }
+
+    /// Is `addr`'s line the most recent in its set? A reference to such a
+    /// line hits and changes no replacement state.
+    #[inline]
+    pub(crate) fn is_most_recent(&self, addr: u64) -> bool {
+        let (idx, tag) = self.index_tag(addr);
+        self.tags[idx * self.ways] == tag
+    }
+
+    /// Count `n` hits on a most-recent line (see [`Cache::is_most_recent`])
+    /// without replaying them.
+    #[inline]
+    pub(crate) fn count_repeat_hits(&mut self, n: u64) {
+        self.stats.hits += n;
     }
 
     /// Check for presence without updating LRU state or statistics.
     pub fn probe(&self, addr: u64) -> bool {
         let (idx, tag) = self.index_tag(addr);
-        self.sets[idx].iter().any(|l| l.valid && l.tag == tag)
+        self.set(idx).contains(&tag)
     }
 
     /// Timing-normalized replacement-state equality: true iff the two caches
@@ -202,34 +224,10 @@ impl Cache {
     /// possible future access sequence.
     ///
     /// The canonical per-set state is the sequence of valid tags ordered by
-    /// recency plus the count of invalid ways. *Which physical way* holds a
-    /// tag is unobservable — hits scan every way and the LRU victim is chosen
-    /// by timestamp, not position — and the absolute `last_use` clocks are
-    /// irrelevant because LRU only ever compares them.
+    /// recency plus the count of invalid ways — exactly how the sets are
+    /// stored, so this is a slice compare.
     pub(crate) fn replacement_state_eq(&self, other: &Cache) -> bool {
-        if self.config != other.config {
-            return false;
-        }
-        // Two scratch buffers reused across sets: this check runs once per
-        // memoized replay, and per-set allocation would dominate it.
-        let ways = self.config.associativity;
-        let mut va: Vec<(u64, u64)> = Vec::with_capacity(ways);
-        let mut vb: Vec<(u64, u64)> = Vec::with_capacity(ways);
-        for (a, b) in self.sets.iter().zip(&other.sets) {
-            va.clear();
-            vb.clear();
-            va.extend(a.iter().filter(|l| l.valid).map(|l| (l.last_use, l.tag)));
-            vb.extend(b.iter().filter(|l| l.valid).map(|l| (l.last_use, l.tag)));
-            if va.len() != vb.len() {
-                return false;
-            }
-            va.sort_unstable();
-            vb.sort_unstable();
-            if va.iter().zip(&vb).any(|(x, y)| x.1 != y.1) {
-                return false;
-            }
-        }
-        true
+        self.config == other.config && self.tags == other.tags
     }
 
     pub(crate) fn set_stats(&mut self, stats: CacheStats) {

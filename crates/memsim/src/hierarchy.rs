@@ -96,6 +96,41 @@ impl MemoryHierarchy {
         cycles
     }
 
+    /// Replay `count` references at `base + k·stride` for `k` in
+    /// `0..count` (wrapping), exactly as a loop of [`access`] would, and
+    /// return their cycles.
+    ///
+    /// The stream is walked line by line: each L1 line's first reference
+    /// is replayed, and the same-line references that follow it are
+    /// charged as bulk L1 hits (see [`walk_strided`]).
+    ///
+    /// [`access`]: MemoryHierarchy::access
+    pub fn access_strided(&mut self, base: u64, stride: u64, count: u64, kind: AccessKind) -> u64 {
+        let line_bytes = self.config.l1.line_bytes as u64;
+        walk_strided(
+            self,
+            line_bytes,
+            (base, stride, count),
+            |h, addr| h.access(addr, kind),
+            MemoryHierarchy::repeat_hits,
+        )
+    }
+
+    /// If `addr`'s line is the most recent in its L1 set, charge `n` more
+    /// references to it as L1 hits and return their cycles. Such hits
+    /// touch neither L2 nor any replacement state, so charging them in
+    /// bulk is exactly replaying them. Otherwise charge nothing.
+    pub(crate) fn repeat_hits(&mut self, addr: u64, n: u64) -> Option<u64> {
+        if !self.l1.is_most_recent(addr) {
+            return None;
+        }
+        self.l1.count_repeat_hits(n);
+        self.accesses += n;
+        let cycles = n * self.config.l1_hit_cycles;
+        self.total_cycles += cycles;
+        Some(cycles)
+    }
+
     /// Convenience: replay an access for each byte-range `[addr, addr+len)`
     /// at `stride` granularity (e.g. one access per touched word).
     pub fn access_range(&mut self, addr: u64, len: u64, stride: u64, kind: AccessKind) -> u64 {
@@ -163,6 +198,50 @@ impl MemoryHierarchy {
         self.total_cycles = own.total_cycles + (x.total_cycles - e.total_cycles);
         self.accesses = own.accesses + (x.accesses - e.accesses);
     }
+}
+
+/// The line walk behind both front ends' `access_strided`.
+///
+/// `stream` is `(base, stride, count)`. Each reference that starts a run on
+/// an L1 line of `line_bytes` goes through `access`; the rest of the run
+/// (the references that stay on that line) goes to `repeat` in one call,
+/// which either charges them all and returns their cycles or declines —
+/// then the walk continues one reference at a time.
+pub(crate) fn walk_strided<H>(
+    h: &mut H,
+    line_bytes: u64,
+    (base, stride, count): (u64, u64, u64),
+    mut access: impl FnMut(&mut H, u64) -> u64,
+    mut repeat: impl FnMut(&mut H, u64, u64) -> Option<u64>,
+) -> u64 {
+    let mut total = 0;
+    let mut k = 0;
+    while k < count {
+        let addr = base.wrapping_add(k.wrapping_mul(stride));
+        total += access(h, addr);
+        k += 1;
+        let left = count - k;
+        // References after this one that stay on its line: at most
+        // `line_bytes` of them, counted without a divide.
+        let same = if stride == 0 {
+            left
+        } else {
+            let mut room = (addr | (line_bytes - 1)) - addr;
+            let mut same = 0;
+            while same < left && room >= stride {
+                room -= stride;
+                same += 1;
+            }
+            same
+        };
+        if same > 0 {
+            if let Some(cycles) = repeat(h, addr, same) {
+                total += cycles;
+                k += same;
+            }
+        }
+    }
+    total
 }
 
 #[cfg(test)]

@@ -16,6 +16,8 @@
 mod addr;
 mod cache;
 mod hierarchy;
+#[cfg(test)]
+mod oracle;
 mod prefetch;
 
 pub use addr::{AddressSpace, ArrayRegion};

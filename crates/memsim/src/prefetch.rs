@@ -10,7 +10,7 @@
 //! production MD rather than this kernel's sequential scan.
 
 use crate::cache::AccessKind;
-use crate::hierarchy::{HierarchyConfig, MemoryHierarchy};
+use crate::hierarchy::{walk_strided, HierarchyConfig, MemoryHierarchy};
 
 /// Statistics of the prefetcher itself.
 #[derive(Clone, Copy, Debug, Default)]
@@ -57,12 +57,32 @@ impl PrefetchingHierarchy {
             // off the demand path; we replay it through the hierarchy so the
             // caches warm up, but do not charge its latency to the program.
             self.stats.triggers += 1;
-            let next = (line + 1) * self.line_bytes;
+            // Wrapping: the line after the top of the address space is line 0.
+            let next = line.wrapping_add(1).wrapping_mul(self.line_bytes);
             self.inner.access(next, AccessKind::Read);
             self.stats.issued += 1;
         }
         self.last_line = Some(line);
         cycles
+    }
+
+    /// Demand-replay `count` references at `base + k·stride`, exactly as a
+    /// loop of [`access`](PrefetchingHierarchy::access) would; returns
+    /// their demand cycles.
+    ///
+    /// A reference to the line just touched never triggers the detector
+    /// (it needs the *previous* line), so the same-line repeats of a run
+    /// are plain L1 hits whenever the line is still the most recent in its
+    /// set, and are charged in bulk like
+    /// [`MemoryHierarchy::access_strided`] does.
+    pub fn access_strided(&mut self, base: u64, stride: u64, count: u64, kind: AccessKind) -> u64 {
+        walk_strided(
+            self,
+            self.line_bytes,
+            (base, stride, count),
+            |p, addr| p.access(addr, kind),
+            |p, addr, n| p.inner.repeat_hits(addr, n),
+        )
     }
 
     pub fn prefetch_stats(&self) -> PrefetchStats {

@@ -39,6 +39,13 @@ impl MemFrontend {
         }
     }
 
+    fn access_strided(&mut self, base: u64, stride: u64, count: u64, kind: AccessKind) -> u64 {
+        match self {
+            MemFrontend::Plain(h) => h.access_strided(base, stride, count, kind),
+            MemFrontend::Prefetching(h) => h.access_strided(base, stride, count, kind),
+        }
+    }
+
     fn stats(&self) -> HierarchyStats {
         match self {
             MemFrontend::Plain(h) => h.stats(),
@@ -101,7 +108,7 @@ struct TraceMemo {
     acc_base: u64,
     entry: MemFrontend,
     exit: MemFrontend,
-    demand: f64,
+    demand: u64,
     loads: u64,
     stores: u64,
 }
@@ -297,7 +304,7 @@ impl StepCost for OpteronStep<'_> {
         }
         enum LaneOut {
             Trace {
-                demand: f64,
+                demand: u64,
                 loads: u64,
                 stores: u64,
             },
@@ -310,9 +317,11 @@ impl StepCost for OpteronStep<'_> {
         // the lane count only shapes the wall-clock overlap.
         let row_lanes = e.par.threads().saturating_sub(1).max(1);
         let chunk = n.div_ceil(row_lanes).max(1);
-        // Under the shared-eval switch the rows go through the shared wide
+        // Under the shared-eval switch the rows go through the shared binned
         // evaluator (bitwise identical to [`gather_row`] per the shared-eval
-        // contract) and the cache replay is memoized.
+        // contract) and the cache replay is memoized. The simulated kernel
+        // still tests all n² pairs: its costs come from `n` and the
+        // interaction count alone.
         let shared = e.shared_eval;
         let mut lanes: Vec<Lane<'_>> = Vec::with_capacity(row_lanes + 1);
         lanes.push(Lane::Trace {
@@ -349,25 +358,26 @@ impl StepCost for OpteronStep<'_> {
                 }
                 let entry = shared.then(|| h.clone());
                 // The exact reference stream of the scalar kernel: read
-                // pos[i], read every pos[j] in the inner loop, write acc[i].
-                let mut demand = 0.0f64;
-                let mut loads = 0u64;
-                let mut stores = 0u64;
-                for i in 0..n {
-                    demand += h.access(pos_r.addr(i), AccessKind::Read) as f64;
-                    loads += 1;
-                    for j in 0..n {
-                        if j == i {
-                            continue;
-                        }
-                        // The inner loop's only memory traffic: the j-th
-                        // position.
-                        demand += h.access(pos_r.addr(j), AccessKind::Read) as f64;
-                        loads += 1;
-                    }
-                    demand += h.access(acc_r.addr(i), AccessKind::Write) as f64;
-                    stores += 1;
+                // pos[i], read every other pos[j] in the inner loop (two
+                // strided sweeps around the skipped self-pair), write
+                // acc[i]. Every per-access cost is an integer number of
+                // cycles and the total stays far below 2^53, so summing in
+                // u64 and converting once equals the per-access f64 sum.
+                let pos_base = pos_r.addr(0);
+                let stride = pos_r.elem_bytes();
+                let mut demand = 0u64;
+                for i in 0..n as u64 {
+                    demand += h.access(pos_base + i * stride, AccessKind::Read);
+                    demand += h.access_strided(pos_base, stride, i, AccessKind::Read);
+                    demand += h.access_strided(
+                        pos_base + (i + 1) * stride,
+                        stride,
+                        n as u64 - i - 1,
+                        AccessKind::Read,
+                    );
+                    demand += h.access(acc_r.addr(i as usize), AccessKind::Write);
                 }
+                let (loads, stores) = ((n * n) as u64, n as u64);
                 if let Some(entry) = entry {
                     *memo = Some(TraceMemo {
                         n,
@@ -386,17 +396,13 @@ impl StepCost for OpteronStep<'_> {
                     stores,
                 }
             }
-            Lane::Rows { lo, hi } => LaneOut::Rows(
+            Lane::Rows { lo, hi } => LaneOut::Rows(if shared {
+                md_core::shared_eval::host_rows(&soa, *lo..*hi, l, sub, inv_m)
+            } else {
                 (*lo..*hi)
-                    .map(|i| {
-                        if shared {
-                            md_core::shared_eval::host_row(&soa, i, l, sub, inv_m)
-                        } else {
-                            gather_row(&soa, i, l, sub, inv_m)
-                        }
-                    })
-                    .collect(),
-            ),
+                    .map(|i| gather_row(&soa, i, l, sub, inv_m))
+                    .collect()
+            }),
         });
         drop(lanes);
 
@@ -413,7 +419,7 @@ impl StepCost for OpteronStep<'_> {
                 } => {
                     // Per-access cycle counts are integers, so this one f64
                     // add reproduces the per-access accumulation exactly.
-                    self.demand_cycles += demand;
+                    self.demand_cycles += demand as f64;
                     self.loads += loads;
                     self.stores += stores;
                 }
