@@ -7,6 +7,15 @@
 //! wall-clock value of batching the distance pass across lanes and
 //! early-skipping non-interacting blocks — i.e. the host-side speedup the
 //! eval memo buys every device at a given atom count.
+//!
+//! The `binned` series runs the same wide f64 rows through
+//! `shared_eval::host_rows`, which cuts each row's candidates to the atoms
+//! of 27 cutoff-wide bins (the Opteron and MTA path); compare it with
+//! `wide-4` at the same size:
+//!
+//! ```bash
+//! cargo bench -p mdea-bench --bench kernel_simd_width
+//! ```
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use md_core::forces::{gather_row, SoaPositions};
@@ -44,20 +53,38 @@ fn eval_host_wide(
     total
 }
 
+fn eval_host_binned(
+    soa: &SoaPositions<f64>,
+    n: usize,
+    l: f64,
+    sub: &md_core::scenario::Substrate<f64>,
+) -> u64 {
+    shared_eval::host_rows(soa, 0..n, l, sub, 1.0)
+        .iter()
+        .map(|row| row.interactions)
+        .sum()
+}
+
 fn kernel_simd_width(c: &mut Criterion) {
     let mut group = c.benchmark_group("kernel_simd_width");
-    for &n in &[864usize, 2048] {
+    for &n in &[864usize, 2048, 8192] {
         let cfg = SimConfig::reduced_lj(n);
         let sys: ParticleSystem<f64> = md_core::init::initialize(&cfg);
         let sub = cfg.substrate::<f64>();
         let l = sys.box_len;
         let soa = SoaPositions::from_positions(&sys.positions);
 
-        group.bench_with_input(BenchmarkId::new("scalar-gather", n), &n, |b, _| {
-            b.iter(|| black_box(eval_host(&soa, n, l, &sub)));
-        });
         group.bench_with_input(BenchmarkId::new("wide-4", n), &n, |b, _| {
             b.iter(|| black_box(eval_host_wide(&soa, n, l, &sub)));
+        });
+        group.bench_with_input(BenchmarkId::new("binned", n), &n, |b, _| {
+            b.iter(|| black_box(eval_host_binned(&soa, n, l, &sub)));
+        });
+        if n > 2048 {
+            continue;
+        }
+        group.bench_with_input(BenchmarkId::new("scalar-gather", n), &n, |b, _| {
+            b.iter(|| black_box(eval_host(&soa, n, l, &sub)));
         });
 
         // The f32 flavors the Cell and GPU memos ride on (8 lanes wide).

@@ -43,7 +43,7 @@
 
 use crate::forces::{GatherRow, SoaPositions};
 use crate::scenario::Substrate;
-use std::ops::{Add, Mul, Sub};
+use std::ops::{Add, Mul, Range, Sub};
 use vecmath::{pbc, Real, Vec3};
 use vecmath::{F32x8, F64x4};
 
@@ -80,26 +80,41 @@ pub fn host_row(
     sub: &Substrate<f64>,
     inv_mass: f64,
 ) -> GatherRow<f64> {
+    host_row_over([soa.x[i], soa.y[i], soa.z[i]], soa, box_len, sub, inv_mass)
+}
+
+/// The host distance kernel: the row of an atom at `centre` over the
+/// candidate atoms `cand`, accumulated in `cand`'s order. Both [`host_row`]
+/// (every atom a candidate) and [`host_rows`] (the atoms of 27 bins) run
+/// through here.
+#[inline]
+fn host_row_over(
+    centre: [f64; 3],
+    cand: &SoaPositions<f64>,
+    box_len: f64,
+    sub: &Substrate<f64>,
+    inv_mass: f64,
+) -> GatherRow<f64> {
     #[cfg(target_arch = "x86_64")]
     if wide_kernels_native() {
         // SAFETY: AVX2 support was verified at runtime just above.
-        return unsafe { host_row_avx2(soa, i, box_len, sub, inv_mass) };
+        return unsafe { host_row_avx2(centre, cand, box_len, sub, inv_mass) };
     }
-    host_row_batched(soa, i, box_len, sub, inv_mass)
+    host_row_batched(centre, cand, box_len, sub, inv_mass)
 }
 
 /// Portable batched host row: the same structure as the AVX2 kernel, built
 /// on [`vecmath::F64x4`] per-lane ops.
 fn host_row_batched(
-    soa: &SoaPositions<f64>,
-    i: usize,
+    centre: [f64; 3],
+    cand: &SoaPositions<f64>,
     box_len: f64,
     sub: &Substrate<f64>,
     inv_mass: f64,
 ) -> GatherRow<f64> {
-    let n = soa.len();
+    let n = cand.len();
     let cutoff2 = sub.cutoff2();
-    let (xi, yi, zi) = (soa.x[i], soa.y[i], soa.z[i]);
+    let [xi, yi, zi] = centre;
     let mut acc = Vec3::zero();
     let mut pe = 0.0f64;
     let mut interactions = 0u64;
@@ -123,9 +138,9 @@ fn host_row_batched(
             let folded = F64x4::select(c.cmp_gt(half), down, c);
             F64x4::select(c.cmp_lt(neg_half), up, folded)
         };
-        let dx = fold(pxi, &soa.x);
-        let dy = fold(pyi, &soa.y);
-        let dz = fold(pzi, &soa.z);
+        let dx = fold(pxi, &cand.x);
+        let dy = fold(pyi, &cand.y);
+        let dz = fold(pzi, &cand.z);
         let r2 = dx.mul(dx).add(dy.mul(dy)).add(dz.mul(dz));
         let m = r2.cmp_lt(vcut);
         if m.any() {
@@ -147,9 +162,9 @@ fn host_row_batched(
         k += 4;
     }
     host_row_tail(
-        soa,
+        cand,
         k,
-        (xi, yi, zi),
+        centre,
         box_len,
         cutoff2,
         sub,
@@ -165,14 +180,14 @@ fn host_row_batched(
     }
 }
 
-/// Scalar remainder of a host row: atoms `k..n`, the exact
+/// Scalar remainder of a host row: candidates `k..`, the exact
 /// `gather_row` arithmetic.
 #[allow(clippy::too_many_arguments)]
 #[inline]
 fn host_row_tail(
-    soa: &SoaPositions<f64>,
+    cand: &SoaPositions<f64>,
     mut k: usize,
-    (xi, yi, zi): (f64, f64, f64),
+    [xi, yi, zi]: [f64; 3],
     box_len: f64,
     cutoff2: f64,
     sub: &Substrate<f64>,
@@ -181,11 +196,11 @@ fn host_row_tail(
     pe: &mut f64,
     interactions: &mut u64,
 ) {
-    let n = soa.len();
+    let n = cand.len();
     while k < n {
-        let dx = pbc::min_image_coord_select(xi - soa.x[k], box_len);
-        let dy = pbc::min_image_coord_select(yi - soa.y[k], box_len);
-        let dz = pbc::min_image_coord_select(zi - soa.z[k], box_len);
+        let dx = pbc::min_image_coord_select(xi - cand.x[k], box_len);
+        let dy = pbc::min_image_coord_select(yi - cand.y[k], box_len);
+        let dz = pbc::min_image_coord_select(zi - cand.z[k], box_len);
         let r2 = dx * dx + dy * dy + dz * dz;
         if r2 < cutoff2 && r2 != 0.0 {
             let (e, f_over_r) = sub.energy_force(r2);
@@ -205,8 +220,8 @@ fn host_row_tail(
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 unsafe fn host_row_avx2(
-    soa: &SoaPositions<f64>,
-    i: usize,
+    centre: [f64; 3],
+    cand: &SoaPositions<f64>,
     box_len: f64,
     sub: &Substrate<f64>,
     inv_mass: f64,
@@ -215,9 +230,9 @@ unsafe fn host_row_avx2(
         _mm256_add_pd, _mm256_blendv_pd, _mm256_cmp_pd, _mm256_loadu_pd, _mm256_movemask_pd,
         _mm256_mul_pd, _mm256_set1_pd, _mm256_storeu_pd, _mm256_sub_pd, _CMP_GT_OQ, _CMP_LT_OQ,
     };
-    let n = soa.len();
+    let n = cand.len();
     let cutoff2 = sub.cutoff2();
-    let (xi, yi, zi) = (soa.x[i], soa.y[i], soa.z[i]);
+    let [xi, yi, zi] = centre;
     let mut acc = Vec3::zero();
     let mut pe = 0.0f64;
     let mut interactions = 0u64;
@@ -249,9 +264,9 @@ unsafe fn host_row_avx2(
                 _mm256_blendv_pd(folded, up, lt)
             }};
         }
-        let dx = axis!(pxi, soa.x);
-        let dy = axis!(pyi, soa.y);
-        let dz = axis!(pzi, soa.z);
+        let dx = axis!(pxi, cand.x);
+        let dy = axis!(pyi, cand.y);
+        let dz = axis!(pzi, cand.z);
         let r2 = _mm256_add_pd(
             _mm256_add_pd(_mm256_mul_pd(dx, dx), _mm256_mul_pd(dy, dy)),
             _mm256_mul_pd(dz, dz),
@@ -280,9 +295,9 @@ unsafe fn host_row_avx2(
         k += 4;
     }
     host_row_tail(
-        soa,
+        cand,
         k,
-        (xi, yi, zi),
+        centre,
         box_len,
         cutoff2,
         sub,
@@ -295,6 +310,158 @@ unsafe fn host_row_avx2(
         acc,
         pe,
         interactions,
+    }
+}
+
+/// Relative slack of the bin width over the cutoff. It covers the rounding
+/// of the binning and of the distance pass, both a few ulps of the box
+/// length (DESIGN.md §17).
+const BIN_MARGIN: f64 = 1e-6;
+
+/// Rows `rows` of the host flavor, each bitwise equal to [`host_row`], with
+/// the candidates cut from all atoms to those of the 27 bins around the
+/// row's own.
+///
+/// Atoms are binned into cubes at least `cutoff·(1 + BIN_MARGIN)` on a
+/// side. An atom outside the 27 bins around atom `i`'s is more than a bin
+/// width away along some axis, so its computed `r2` is at least
+/// `cutoff2` and [`host_row`] rejects it; every pair `host_row`
+/// accumulates is therefore a candidate here. Per bin the candidates are
+/// gathered once, in ascending index, and every row of the bin runs the
+/// host distance kernel over them, so survivors accumulate in the same
+/// ascending-j order as in [`host_row`]. Boxes of fewer than 3 bins per
+/// edge, and positions the argument does not cover (outside `[-L, 2L)` or
+/// not finite), take the per-row path.
+pub fn host_rows(
+    soa: &SoaPositions<f64>,
+    rows: Range<usize>,
+    box_len: f64,
+    sub: &Substrate<f64>,
+    inv_mass: f64,
+) -> Vec<GatherRow<f64>> {
+    assert!(
+        rows.end <= soa.len(),
+        "rows {rows:?} out of {} atoms",
+        soa.len()
+    );
+    let Some(grid) = BinGrid::new(soa, box_len, sub.cutoff2()) else {
+        return rows
+            .map(|i| host_row(soa, i, box_len, sub, inv_mass))
+            .collect();
+    };
+    let mut out = vec![GatherRow::default(); rows.len()];
+    let mut marks = vec![0u64; soa.len().div_ceil(64)];
+    let mut cand = SoaPositions {
+        x: Vec::new(),
+        y: Vec::new(),
+        z: Vec::new(),
+    };
+    for bin in 0..grid.bins() {
+        let members = grid.members(bin);
+        if !members.iter().any(|i| rows.contains(i)) {
+            continue;
+        }
+        // Mark the 27 bins' atoms, then read the marks back in ascending
+        // index order.
+        for nb in grid.neighbours(bin) {
+            for &j in grid.members(nb) {
+                marks[j / 64] |= 1 << (j % 64);
+            }
+        }
+        cand.x.clear();
+        cand.y.clear();
+        cand.z.clear();
+        for (w, word) in marks.iter_mut().enumerate() {
+            while *word != 0 {
+                let j = w * 64 + word.trailing_zeros() as usize;
+                *word &= *word - 1;
+                cand.x.push(soa.x[j]);
+                cand.y.push(soa.y[j]);
+                cand.z.push(soa.z[j]);
+            }
+        }
+        for &i in members.iter().filter(|i| rows.contains(i)) {
+            let centre = [soa.x[i], soa.y[i], soa.z[i]];
+            out[i - rows.start] = host_row_over(centre, &cand, box_len, sub, inv_mass);
+        }
+    }
+    out
+}
+
+/// Atoms sorted into a periodic grid of `per_edge³` cubic bins, each bin's
+/// atoms in ascending index.
+struct BinGrid {
+    per_edge: usize,
+    /// `order[start[b]..start[b + 1]]` are bin `b`'s atoms.
+    start: Vec<usize>,
+    order: Vec<usize>,
+}
+
+impl BinGrid {
+    /// `None` when the binned path does not apply (see [`host_rows`]).
+    fn new(soa: &SoaPositions<f64>, box_len: f64, cutoff2: f64) -> Option<Self> {
+        if !(box_len.is_finite() && box_len > 0.0 && cutoff2.is_finite() && cutoff2 > 0.0) {
+            return None;
+        }
+        let in_range = |c: &f64| (-box_len..2.0 * box_len).contains(c);
+        if !(soa.x.iter().all(in_range) && soa.y.iter().all(in_range) && soa.z.iter().all(in_range))
+        {
+            return None;
+        }
+        // More bins than about one per atom buys nothing; fewer is still
+        // conservative (only wider).
+        let most = (soa.len() as f64).cbrt().ceil().max(3.0);
+        let per_edge = (box_len / (cutoff2.sqrt() * (1.0 + BIN_MARGIN)))
+            .floor()
+            .min(most) as usize;
+        if per_edge < 3 {
+            return None;
+        }
+        let scale = per_edge as f64 / box_len;
+        let cell = |c: f64| ((c * scale).floor() as i64).rem_euclid(per_edge as i64) as usize;
+        let bin_of: Vec<usize> = (0..soa.len())
+            .map(|i| (cell(soa.z[i]) * per_edge + cell(soa.y[i])) * per_edge + cell(soa.x[i]))
+            .collect();
+        // Counting sort: stable, so each bin lists its atoms ascending.
+        let mut start = vec![0usize; per_edge.pow(3) + 1];
+        for &b in &bin_of {
+            start[b + 1] += 1;
+        }
+        for b in 0..per_edge.pow(3) {
+            start[b + 1] += start[b];
+        }
+        let mut fill = start.clone();
+        let mut order = vec![0usize; soa.len()];
+        for (i, &b) in bin_of.iter().enumerate() {
+            order[fill[b]] = i;
+            fill[b] += 1;
+        }
+        Some(Self {
+            per_edge,
+            start,
+            order,
+        })
+    }
+
+    fn bins(&self) -> usize {
+        self.start.len() - 1
+    }
+
+    fn members(&self, bin: usize) -> &[usize] {
+        &self.order[self.start[bin]..self.start[bin + 1]]
+    }
+
+    /// The 27 bins around `bin`, periodically; distinct since
+    /// `per_edge >= 3`.
+    fn neighbours(&self, bin: usize) -> impl Iterator<Item = usize> + '_ {
+        let m = self.per_edge;
+        let (x, y, z) = (bin % m, (bin / m) % m, bin / (m * m));
+        let around = move |c: usize| [(c + m - 1) % m, c, (c + 1) % m];
+        around(z).into_iter().flat_map(move |nz| {
+            around(y)
+                .into_iter()
+                .flat_map(move |ny| around(x).into_iter().map(move |nx| (nz * m + ny) * m + nx))
+        })
     }
 }
 
@@ -892,9 +1059,190 @@ mod tests {
         let soa = SoaPositions::from_positions(&sys.positions);
         let inv_m = sys.mass.recip();
         for i in 0..sys.n() {
-            let a = host_row_batched(&soa, i, l, &sub, inv_m);
+            let centre = [soa.x[i], soa.y[i], soa.z[i]];
+            let a = host_row_batched(centre, &soa, l, &sub, inv_m);
             let b = host_row(&soa, i, l, &sub, inv_m);
             assert_eq!(a, b, "row {i}");
+        }
+    }
+
+    /// `per_edge` bins of a dyadic width just over the 2.5 cutoff, so the
+    /// cutoff-distance pairs below are exact in binary.
+    fn binned_box(per_edge: usize) -> f64 {
+        per_edge as f64 * 2.5 * (129.0 / 128.0)
+    }
+
+    /// Positions that probe every edge of the binning: uniform atoms, atoms
+    /// on bin boundaries, at exactly 0, at `L − ulp`, just outside `[0, L)`,
+    /// well outside it but inside `[−L, 2L)`, and pairs exactly at (and one
+    /// ulp-scale step inside) the cutoff across each periodic face.
+    fn adversarial(l: f64, n_uniform: usize, seed: u64) -> SoaPositions<f64> {
+        let mut rng = crate::rng::SplitMix64::new(seed);
+        let mut pts: Vec<[f64; 3]> = (0..n_uniform)
+            .map(|_| [rng.next_f64() * l, rng.next_f64() * l, rng.next_f64() * l])
+            .collect();
+        let below_l = f64::from_bits(l.to_bits() - 1);
+        let edges = [
+            0.0,
+            -0.0,
+            below_l,
+            l,
+            -1e-12,
+            l + 1e-12,
+            -f64::MIN_POSITIVE,
+            -0.4 * l,
+            1.6 * l,
+            -l,
+            f64::from_bits((2.0 * l).to_bits() - 1),
+        ];
+        for (k, &e) in edges.iter().enumerate() {
+            let m = rng.next_f64() * l;
+            pts.push([e, m, m]);
+            pts.push([m, e, e]);
+            pts.push([e, e, [0.0, below_l, m][k % 3]]);
+        }
+        let w = l / (l / 2.5 / (129.0 / 128.0)).round();
+        for b in 1..4 {
+            let on = b as f64 * w;
+            pts.push([on, on, rng.next_f64() * l]);
+            pts.push([f64::from_bits(on.to_bits() - 1), on, 1.0]);
+        }
+        for axis in 0..3 {
+            for (a, b) in [(0.25, l - 2.25), (0.25, l - 2.25 + 2f64.powi(-40))] {
+                let (mut p, mut q) = ([1.0, 1.0, 1.0], [1.0, 1.0, 1.0]);
+                p[axis] = a;
+                q[axis] = b;
+                pts.extend([p, q]);
+            }
+        }
+        SoaPositions {
+            x: pts.iter().map(|p| p[0]).collect(),
+            y: pts.iter().map(|p| p[1]).collect(),
+            z: pts.iter().map(|p| p[2]).collect(),
+        }
+    }
+
+    fn assert_rows_bitwise(a: &GatherRow<f64>, b: &GatherRow<f64>, what: &str) {
+        let bits = |r: &GatherRow<f64>| {
+            (
+                [r.acc.x, r.acc.y, r.acc.z, r.pe].map(f64::to_bits),
+                r.interactions,
+            )
+        };
+        assert_eq!(bits(a), bits(b), "{what}");
+    }
+
+    #[test]
+    fn host_rows_bitwise_matches_host_row_on_adversarial_positions() {
+        let specs = [
+            ScenarioSpec::default(),
+            ScenarioSpec::morse_nvt(),
+            ScenarioSpec::coulomb_cutoff(),
+            ScenarioSpec::default().with_precision(PrecisionPolicy::MixedF64Accumulate),
+            ScenarioSpec::morse_nvt().with_precision(PrecisionPolicy::MixedF64Accumulate),
+            ScenarioSpec::coulomb_cutoff().with_precision(PrecisionPolicy::ForceF32),
+        ];
+        for per_edge in [2usize, 3, 4, 5, 8] {
+            let l = binned_box(per_edge);
+            // Enough atoms that the bin cap never binds.
+            let soa = adversarial(l, 520, per_edge as u64);
+            for spec in specs {
+                let sub: Substrate<f64> = spec.substrate(2.5);
+                let grid = BinGrid::new(&soa, l, sub.cutoff2()).map(|g| g.per_edge);
+                assert_eq!(grid, (per_edge >= 3).then_some(per_edge), "{spec}");
+                let n = soa.len();
+                let whole = host_rows(&soa, 0..n, l, &sub, 0.5);
+                let mut interactions = 0;
+                for (i, row) in whole.iter().enumerate() {
+                    let want = host_row(&soa, i, l, &sub, 0.5);
+                    assert_rows_bitwise(row, &want, &format!("{spec} {per_edge}/edge row {i}"));
+                    interactions += row.interactions;
+                }
+                assert!(interactions > 0, "{spec}: the positions must interact");
+                for range in [0..1, 7..n / 2, n - 40..n, n..n] {
+                    let part = host_rows(&soa, range.clone(), l, &sub, 0.5);
+                    assert_eq!(part.len(), range.len());
+                    for (row, i) in part.iter().zip(range) {
+                        assert_rows_bitwise(row, &whole[i], &format!("{spec} sub-range row {i}"));
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn bins_are_at_least_the_cutoff_plus_margin_wide() {
+        // A box of exactly 4 cutoffs gets 3 bins: 4 would be exactly one
+        // cutoff wide, with no room for rounding.
+        let sub: Substrate<f64> = ScenarioSpec::default().substrate(2.5);
+        for (l, want) in [(9.9, 3), (10.0, 3), (10.0 * (1.0 + 2e-6), 4)] {
+            let soa = adversarial(l, 60, 5);
+            let grid = BinGrid::new(&soa, l, sub.cutoff2()).map(|g| g.per_edge);
+            assert_eq!(grid, Some(want), "box {l}");
+            let rows = host_rows(&soa, 0..soa.len(), l, &sub, 1.0);
+            for (i, row) in rows.iter().enumerate() {
+                assert_rows_bitwise(row, &host_row(&soa, i, l, &sub, 1.0), "margin box");
+            }
+        }
+    }
+
+    #[test]
+    fn cutoff_pairs_across_a_periodic_face() {
+        // The exact-cutoff pair is rejected and the pair 2^-40 inside is
+        // accumulated, by both paths.
+        let l = binned_box(4);
+        let sub: Substrate<f64> = ScenarioSpec::default().substrate(2.5);
+        let soa = SoaPositions::from_positions(&[
+            Vec3::new(0.25, 1.0, 1.0),
+            Vec3::new(l - 2.25, 1.0, 1.0),
+            Vec3::new(1.0, 0.25, 5.0),
+            Vec3::new(1.0, l - 2.25 + 2f64.powi(-40), 5.0),
+        ]);
+        let rows = host_rows(&soa, 0..4, l, &sub, 1.0);
+        assert_eq!(
+            rows.iter().map(|r| r.interactions).collect::<Vec<_>>(),
+            [0, 0, 1, 1]
+        );
+        for (i, row) in rows.iter().enumerate() {
+            assert_rows_bitwise(row, &host_row(&soa, i, l, &sub, 1.0), "face pair");
+        }
+    }
+
+    #[test]
+    fn host_rows_fall_back_where_binning_does_not_apply() {
+        let l = binned_box(5);
+        let sub: Substrate<f64> = ScenarioSpec::default().substrate(2.5);
+        let mut soa = adversarial(l, 200, 9);
+        assert!(BinGrid::new(&soa, l, sub.cutoff2()).is_some());
+        for bad in [2.0 * l, -l - 1e-9, f64::NAN, f64::INFINITY] {
+            let keep = soa.y[3];
+            soa.y[3] = bad;
+            assert!(BinGrid::new(&soa, l, sub.cutoff2()).is_none(), "{bad}");
+            let rows = host_rows(&soa, 0..soa.len(), l, &sub, 1.0);
+            for (i, row) in rows.iter().enumerate() {
+                assert_rows_bitwise(row, &host_row(&soa, i, l, &sub, 1.0), "fallback");
+            }
+            soa.y[3] = keep;
+        }
+    }
+
+    #[test]
+    fn device_sized_boxes_bin_three_or_more_per_edge() {
+        // The 512-atom device goldens reach the binned path; 256 atoms do not.
+        for (n, want) in [
+            (256, None),
+            (512, Some(3)),
+            (2048, Some(5)),
+            (8192, Some(8)),
+        ] {
+            for spec in [ScenarioSpec::default(), ScenarioSpec::morse_nvt()] {
+                let cfg = SimConfig::reduced_lj(n).with_scenario(spec);
+                let sys: ParticleSystem<f64> = initialize(&cfg);
+                let soa = SoaPositions::from_positions(&sys.positions);
+                let sub = cfg.substrate::<f64>();
+                let got = BinGrid::new(&soa, sys.box_len, sub.cutoff2()).map(|g| g.per_edge);
+                assert_eq!(got, want, "{n} atoms, {spec}");
+            }
         }
     }
 

@@ -217,15 +217,23 @@ impl StepCost for MtaStep<'_> {
         let inv_m = e.mass.recip();
         let soa = md_core::forces::SoaPositions::from_positions(e.positions);
         // Physics-once split (DESIGN.md §17): under the shared-eval switch
-        // each stream's row runs the shared batched kernel — bitwise the
-        // scalar row, so the closed-form loop charge below replays unchanged.
-        let rows = md_core::parallel::map_indexed(e.par, n, |i| {
-            if e.shared_eval {
-                md_core::shared_eval::host_row(&soa, i, e.box_len, e.sub, inv_m)
-            } else {
+        // the streams' rows run the shared binned kernel, one contiguous
+        // chunk per host thread — bitwise the scalar rows, so the
+        // closed-form loop charge below replays unchanged.
+        let rows: Vec<_> = if e.shared_eval {
+            let chunk = n.div_ceil(e.par.threads()).max(1);
+            md_core::parallel::map_indexed(e.par, n.div_ceil(chunk), |c| {
+                let rows = c * chunk..((c + 1) * chunk).min(n);
+                md_core::shared_eval::host_rows(&soa, rows, e.box_len, e.sub, inv_m)
+            })
+            .into_iter()
+            .flatten()
+            .collect()
+        } else {
+            md_core::parallel::map_indexed(e.par, n, |i| {
                 md_core::forces::gather_row(&soa, i, e.box_len, e.sub, inv_m)
-            }
-        });
+            })
+        };
         for (acc, row) in e.accelerations.iter_mut().zip(rows) {
             interactions += row.interactions;
             *acc = row.acc;

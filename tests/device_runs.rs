@@ -199,7 +199,11 @@ fn rows() -> Vec<(String, String)> {
         ),
         (DeviceKind::Opteron, &binned_morse),
     ] {
-        let id = format!("n{BINNED_ATOMS}:{}:{}", sim.scenario.cache_token(), kind.label());
+        let id = format!(
+            "n{BINNED_ATOMS}:{}:{}",
+            sim.scenario.cache_token(),
+            kind.label()
+        );
         push(id.clone(), device_row(&id, kind.build(), sim, STEPS));
     }
 
