@@ -131,19 +131,6 @@ impl MemoryHierarchy {
         Some(cycles)
     }
 
-    /// Convenience: replay an access for each byte-range `[addr, addr+len)`
-    /// at `stride` granularity (e.g. one access per touched word).
-    pub fn access_range(&mut self, addr: u64, len: u64, stride: u64, kind: AccessKind) -> u64 {
-        assert!(stride > 0);
-        let mut total = 0;
-        let mut a = addr;
-        while a < addr + len {
-            total += self.access(a, kind);
-            a += stride;
-        }
-        total
-    }
-
     pub fn stats(&self) -> HierarchyStats {
         HierarchyStats {
             l1: self.l1.stats(),
@@ -300,10 +287,12 @@ mod tests {
     }
 
     #[test]
-    fn access_range_touches_each_stride() {
+    fn access_strided_counts_every_reference() {
         let mut h = tiny_hierarchy();
-        h.access_range(0, 64, 8, AccessKind::Read);
+        // Eight references on two lines: two cold misses, six repeat hits.
+        assert_eq!(h.access_strided(0, 8, 8, AccessKind::Read), 2 * 111 + 6);
         assert_eq!(h.stats().accesses, 8);
+        assert_eq!(h.stats().l1.hits, 6);
     }
 
     #[test]
