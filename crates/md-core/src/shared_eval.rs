@@ -25,7 +25,8 @@
 //! Three per-device arithmetic flavors are provided:
 //!
 //! - [`host_row`] — the f64 select-form minimum image of
-//!   [`crate::forces::gather_row`] (Opteron rows, MTA streams).
+//!   [`crate::forces::gather_row`]; [`host_rows`] evaluates a range of such
+//!   rows over cell-binned candidates (Opteron rows, MTA streams).
 //! - [`cell_row`] — the Cell SPE `SimdAcceleration` variant: compare/select
 //!   unit-cell shift, FMA accumulate, per-atom PE in the fourth lane.
 //! - [`gpu_texel`] — the fragment shader's predicated sequential-conditional
@@ -315,7 +316,7 @@ unsafe fn host_row_avx2(
 
 /// Relative slack of the bin width over the cutoff. It covers the rounding
 /// of the binning and of the distance pass, both a few ulps of the box
-/// length (DESIGN.md §17).
+/// length (DESIGN.md §17.1).
 const BIN_MARGIN: f64 = 1e-6;
 
 /// Rows `rows` of the host flavor, each bitwise equal to [`host_row`], with

@@ -97,10 +97,10 @@ const EMPTY: u64 = u64::MAX;
 /// functionally and use the cache purely for timing.
 ///
 /// Each set is a slice of `ways` tags in recency order: most recent first,
-/// empty ways ([`EMPTY`]) at the tail. A hit moves its tag to the front and
+/// empty ways (`EMPTY`) at the tail. A hit moves its tag to the front and
 /// a miss shifts the set down one way, dropping the least recent tag. That
 /// order is all LRU ever consults, so this storage is already the canonical
-/// replacement state (see [`Cache::replacement_state_eq`]).
+/// replacement state, and replacement-state equality is a slice compare.
 #[derive(Clone, Debug)]
 pub struct Cache {
     config: CacheConfig,

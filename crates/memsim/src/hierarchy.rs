@@ -102,7 +102,7 @@ impl MemoryHierarchy {
     ///
     /// The stream is walked line by line: each L1 line's first reference
     /// is replayed, and the same-line references that follow it are
-    /// charged as bulk L1 hits (see [`walk_strided`]).
+    /// charged as bulk L1 hits.
     ///
     /// [`access`]: MemoryHierarchy::access
     pub fn access_strided(&mut self, base: u64, stride: u64, count: u64, kind: AccessKind) -> u64 {
