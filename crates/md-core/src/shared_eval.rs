@@ -42,8 +42,9 @@
 //! cycles — sim-vet's eval-purity rule denies cost-charging calls here, so
 //! the eval/cost split stays machine-enforced.
 
-use crate::forces::{GatherRow, SoaPositions};
+use crate::forces::{ForceKernel, GatherRow, SoaPositions};
 use crate::scenario::Substrate;
+use crate::system::ParticleSystem;
 use std::ops::{Add, Mul, Range, Sub};
 use vecmath::{pbc, Real, Vec3};
 use vecmath::{F32x8, F64x4};
@@ -387,6 +388,30 @@ pub fn host_rows(
         }
     }
     out
+}
+
+/// [`crate::forces::AllPairsFullKernel`] for `f64` systems through the
+/// binned [`host_rows`]: every row is bitwise the one `gather_row` gives,
+/// and the PE fold runs in the same ascending-atom order, so accelerations
+/// and the returned energy are bitwise those of the all-pairs kernel.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct HostRowsKernel;
+
+impl ForceKernel<f64> for HostRowsKernel {
+    fn compute(&mut self, sys: &mut ParticleSystem<f64>, sub: &Substrate<f64>) -> f64 {
+        let soa = SoaPositions::from_positions(&sys.positions);
+        let rows = host_rows(&soa, 0..sys.n(), sys.box_len, sub, sys.mass.recip());
+        let mut pe_twice = 0.0;
+        for (a, row) in sys.accelerations.iter_mut().zip(rows) {
+            *a = row.acc;
+            pe_twice += row.pe;
+        }
+        pe_twice * 0.5
+    }
+
+    fn name(&self) -> &'static str {
+        "host-rows"
+    }
 }
 
 /// Atoms sorted into a periodic grid of `per_edge³` cubic bins, each bin's
@@ -1225,6 +1250,33 @@ mod tests {
             }
             soa.y[3] = keep;
         }
+    }
+
+    #[test]
+    fn host_rows_kernel_bitwise_matches_all_pairs_kernel() {
+        use crate::forces::AllPairsFullKernel;
+        use crate::verlet::VelocityVerlet;
+        let cfg = SimConfig::reduced_lj(864);
+        let sub = cfg.substrate::<f64>();
+        let mut binned: ParticleSystem<f64> = initialize(&cfg);
+        // Off the lattice, where every row differs and so the fold order
+        // shows in the sum.
+        let vv = VelocityVerlet::new(cfg.dt);
+        AllPairsFullKernel.compute(&mut binned, &sub);
+        for _ in 0..3 {
+            vv.step(&mut binned, &mut AllPairsFullKernel, &sub);
+        }
+        let mut all_pairs = binned.clone();
+        let pe = HostRowsKernel.compute(&mut binned, &sub);
+        let want = AllPairsFullKernel.compute(&mut all_pairs, &sub);
+        assert_eq!(pe.to_bits(), want.to_bits());
+        let bits = |s: &ParticleSystem<f64>| -> Vec<[u64; 3]> {
+            s.accelerations
+                .iter()
+                .map(|a| [a.x, a.y, a.z].map(f64::to_bits))
+                .collect()
+        };
+        assert_eq!(bits(&binned), bits(&all_pairs));
     }
 
     #[test]

@@ -151,6 +151,11 @@ impl Cache {
         self.tags.fill(EMPTY);
     }
 
+    /// Whether no line is valid, as [`Cache::invalidate_all`] leaves it.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.tags.iter().all(|&t| t == EMPTY)
+    }
+
     /// Set index and tag of `addr`'s line. The shift/mask split equals the
     /// `%`/`/` one whenever the set count is a power of two.
     #[inline]

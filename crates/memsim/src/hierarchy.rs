@@ -149,6 +149,20 @@ impl MemoryHierarchy {
         self.accesses = 0;
     }
 
+    /// Whether the hierarchy is exactly as [`reset`](MemoryHierarchy::reset)
+    /// leaves it: no valid line and every statistic zero. Two such
+    /// hierarchies of one configuration are equal in every field, so a
+    /// replay recorded from one can be installed whole on the other.
+    pub fn is_reset(&self) -> bool {
+        let zero = CacheStats::default();
+        self.l1.is_empty()
+            && self.l2.is_empty()
+            && self.l1.stats() == zero
+            && self.l2.stats() == zero
+            && self.total_cycles == 0
+            && self.accesses == 0
+    }
+
     /// Timing-normalized state equality: true iff the two hierarchies return
     /// the same cycle count for — and evolve identically under — every
     /// possible future access sequence. Statistics counters are ignored;
@@ -302,6 +316,16 @@ mod tests {
         h.reset();
         assert_eq!(h.stats().accesses, 0);
         assert_eq!(h.access(0, AccessKind::Read), 111, "cold again");
+    }
+
+    #[test]
+    fn is_reset_holds_exactly_in_the_reset_state() {
+        let mut h = tiny_hierarchy();
+        assert!(h.is_reset(), "a new hierarchy starts reset");
+        h.access(0, AccessKind::Read);
+        assert!(!h.is_reset());
+        h.reset();
+        assert!(h.is_reset());
     }
 
     #[test]

@@ -99,6 +99,15 @@ impl PrefetchingHierarchy {
         self.stats = PrefetchStats::default();
     }
 
+    /// Whether the front end is exactly as [`reset`](Self::reset) leaves
+    /// it — see [`MemoryHierarchy::is_reset`].
+    pub fn is_reset(&self) -> bool {
+        self.inner.is_reset()
+            && self.last_line.is_none()
+            && self.stats.issued == 0
+            && self.stats.triggers == 0
+    }
+
     /// Timing-normalized state equality — see
     /// [`MemoryHierarchy::replay_state_eq`]. The stream detector's last-line
     /// register is part of future behavior (it decides the next trigger), so
@@ -159,6 +168,16 @@ mod tests {
             "prefetch should hide most stream misses: {cycles_with} vs {cycles_without}"
         );
         assert!(with.prefetch_stats().issued > 100);
+    }
+
+    #[test]
+    fn is_reset_covers_the_stream_detector() {
+        let mut h = PrefetchingHierarchy::new(tiny());
+        assert!(h.is_reset());
+        h.access(0, AccessKind::Read);
+        assert!(!h.is_reset());
+        h.reset();
+        assert!(h.is_reset());
     }
 
     #[test]

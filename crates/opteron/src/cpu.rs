@@ -3,12 +3,12 @@
 use crate::config::OpteronConfig;
 use md_core::device::DeviceError;
 use md_core::driver::{CostModel, CostReport, Eval, FaultKind, FaultSite, StepCost, StepDriver};
-use md_core::forces::{gather_row, GatherRow, SoaPositions};
-use md_core::forces::{AllPairsFullKernel, ForceKernel};
+use md_core::forces::{gather_row, ForceKernel, GatherRow, SoaPositions};
 use md_core::init;
 use md_core::observables::EnergyReport;
 use md_core::parallel::map_lanes;
 use md_core::params::SimConfig;
+use md_core::shared_eval::{host_rows, HostRowsKernel};
 use md_core::system::ParticleSystem;
 use md_core::verlet::VelocityVerlet;
 use memsim::{AccessKind, AddressSpace, ArrayRegion, HierarchyStats, MemoryHierarchy};
@@ -60,6 +60,15 @@ impl MemFrontend {
         }
     }
 
+    /// Whether the front end is as `reset` leaves it (see
+    /// [`MemoryHierarchy::is_reset`]).
+    fn is_reset(&self) -> bool {
+        match self {
+            MemFrontend::Plain(h) => h.is_reset(),
+            MemFrontend::Prefetching(h) => h.is_reset(),
+        }
+    }
+
     /// Timing-normalized state equality (see
     /// [`MemoryHierarchy::replay_state_eq`]); differing front-end kinds are
     /// never equivalent.
@@ -89,28 +98,88 @@ impl MemFrontend {
     }
 }
 
-/// One memoized force-evaluation cache replay.
-///
-/// A force evaluation's memory-reference stream is fully determined by the
-/// atom count and the array layout — positions' *values* never enter the
-/// trace. The hierarchy is a deterministic automaton, so whenever it
-/// re-enters a state replay-equivalent to `entry`, replaying the stream
-/// *must* cost the same demand cycles and land in a state equivalent to
-/// `exit`. The steady-state MD loop re-enters the same pre-evaluation cache
-/// state every step, so after the first two evaluations the O(N²) replay
-/// collapses to an O(cache-size) equality check plus a state install —
-/// without changing a single reported number.
-struct TraceMemo {
-    /// Stream identity: the memo only applies to the exact same reference
-    /// sequence (same atom count, same simulated array bases).
+/// The identity of a force evaluation's reference stream: the memo only
+/// applies to the exact same sequence (same atom count, same simulated
+/// array bases).
+#[derive(Clone, Copy, PartialEq, Eq)]
+struct StreamKey {
     n: usize,
     pos_base: u64,
     acc_base: u64,
-    entry: MemFrontend,
+}
+
+/// What replaying one stream from one cache state did.
+struct Replay {
+    key: StreamKey,
     exit: MemFrontend,
     demand: u64,
     loads: u64,
     stores: u64,
+}
+
+/// Memoized force-evaluation cache replays.
+///
+/// A force evaluation's memory-reference stream is fully determined by the
+/// atom count and the array layout — positions' *values* never enter the
+/// trace. The hierarchy is a deterministic automaton, so whenever it
+/// re-enters a state replay-equivalent to a recorded entry state, replaying
+/// the stream *must* cost the same demand cycles and land in a state
+/// equivalent to the recorded exit. Such a replay collapses to an
+/// O(cache-size) equality check plus a state install — without changing a
+/// single reported number.
+///
+/// Two entries cover a run and every later run or segment on the same CPU:
+///
+/// - `cold`, the priming evaluation's replay. Every run starts from a reset
+///   hierarchy, which [`MemFrontend::is_reset`] recognises, so the entry
+///   state is not stored: the exit is installed whole.
+/// - `warm`, the most recent replay from any other state, with that state.
+///   The MD loop re-enters the same pre-evaluation state every step, so
+///   this is the steady-state entry from the second evaluation on.
+///
+/// A segmented run therefore replays twice in its first segment and never
+/// again, instead of twice per segment.
+#[derive(Default)]
+struct TraceMemo {
+    cold: Option<Replay>,
+    warm: Option<(MemFrontend, Replay)>,
+    /// Full replays run, for the memo's own tests.
+    #[cfg(test)]
+    replays: usize,
+}
+
+impl TraceMemo {
+    /// Skip the replay of `key`'s stream from `h`'s state if it is
+    /// recorded: install its exit state and return its counts.
+    fn skip(&self, key: StreamKey, h: &mut MemFrontend) -> Option<&Replay> {
+        if h.is_reset() {
+            let r = self.cold.as_ref().filter(|r| r.key == key)?;
+            h.clone_from(&r.exit);
+            Some(r)
+        } else {
+            let (entry, r) = self
+                .warm
+                .as_ref()
+                .filter(|(entry, r)| r.key == key && h.replay_state_eq(entry))?;
+            h.apply_replay(entry, &r.exit);
+            Some(r)
+        }
+    }
+
+    /// Cache states held: each entry's exit, plus the warm entry's state.
+    #[cfg(test)]
+    fn cache_states(&self) -> usize {
+        usize::from(self.cold.is_some()) + 2 * usize::from(self.warm.is_some())
+    }
+
+    /// Record a replay; `entry` is `None` when it started from a reset
+    /// hierarchy.
+    fn record(&mut self, entry: Option<MemFrontend>, replay: Replay) {
+        match entry {
+            None => self.cold = Some(replay),
+            Some(entry) => self.warm = Some((entry, replay)),
+        }
+    }
 }
 
 /// The simulated CPU. Holds the cache hierarchy so repeated calls can model
@@ -118,11 +187,11 @@ struct TraceMemo {
 pub struct OpteronCpu {
     pub config: OpteronConfig,
     hierarchy: MemFrontend,
-    /// Last force-evaluation replay, reused when the cache re-enters the
-    /// same state ([`TraceMemo`]). Consulted only under the driver's
+    /// Recorded force-evaluation replays, reused when the cache re-enters
+    /// a recorded state ([`TraceMemo`]). Consulted only under the driver's
     /// shared-eval switch — results are identical either way, only the host
     /// wall-clock differs.
-    trace_memo: Option<TraceMemo>,
+    trace_memo: TraceMemo,
     driver: StepDriver,
 }
 
@@ -136,7 +205,7 @@ impl OpteronCpu {
         Self {
             hierarchy,
             config,
-            trace_memo: None,
+            trace_memo: TraceMemo::default(),
             driver: StepDriver::default(),
         }
     }
@@ -146,11 +215,15 @@ impl OpteronCpu {
     }
 
     /// Reference check: the same workload run through the untimed kernel.
+    ///
+    /// The kernel is the binned [`HostRowsKernel`], bitwise equal to
+    /// [`md_core::forces::AllPairsFullKernel`] at a fraction of its cost;
+    /// the supervisor's energy-drift check calls this once per run.
     pub fn untimed_energies(sim: &SimConfig, steps: usize) -> EnergyReport {
         let mut sys: ParticleSystem<f64> = init::initialize(sim);
         let sub = sim.substrate::<f64>();
         let vv = VelocityVerlet::new(sim.dt);
-        let mut kernel = AllPairsFullKernel;
+        let mut kernel = HostRowsKernel;
         let mut pe = kernel.compute(&mut sys, &sub);
         for _ in 0..steps {
             pe = vv.step(&mut sys, &mut kernel, &sub);
@@ -165,7 +238,7 @@ impl OpteronCpu {
 pub struct OpteronStep<'a> {
     config: &'a OpteronConfig,
     hierarchy: &'a mut MemFrontend,
-    memo: &'a mut Option<TraceMemo>,
+    memo: &'a mut TraceMemo,
     /// The logical arrays' layout in the simulated address space.
     pos_r: ArrayRegion,
     vel_r: ArrayRegion,
@@ -272,7 +345,7 @@ impl StepCost for OpteronStep<'_> {
     }
 
     /// The step-2 gather loop with interleaved cache accesses. Numerics are
-    /// identical to [`AllPairsFullKernel`].
+    /// identical to [`md_core::forces::AllPairsFullKernel`].
     ///
     /// The evaluation is split into heterogeneous lanes run through
     /// [`map_lanes`]: one lane replays the run's exact memory-reference
@@ -295,7 +368,7 @@ impl StepCost for OpteronStep<'_> {
         enum Lane<'a> {
             Trace {
                 h: &'a mut MemFrontend,
-                memo: &'a mut Option<TraceMemo>,
+                memo: &'a mut TraceMemo,
             },
             Rows {
                 lo: usize,
@@ -338,32 +411,31 @@ impl StepCost for OpteronStep<'_> {
         let outs = map_lanes(e.par, &mut lanes, |_, lane| match lane {
             Lane::Trace { h, memo } => {
                 let h: &mut MemFrontend = h;
-                let memo: &mut Option<TraceMemo> = memo;
-                // Same stream, same entry state: reuse the recorded replay
-                // (see [`TraceMemo`] for why this cannot change any number).
-                if let Some(m) = memo.as_ref() {
-                    if shared
-                        && m.n == n
-                        && m.pos_base == pos_r.addr(0)
-                        && m.acc_base == acc_r.addr(0)
-                        && h.replay_state_eq(&m.entry)
-                    {
-                        h.apply_replay(&m.entry, &m.exit);
+                let memo: &mut TraceMemo = memo;
+                let key = StreamKey {
+                    n,
+                    pos_base: pos_r.addr(0),
+                    acc_base: acc_r.addr(0),
+                };
+                // Same stream, recorded entry state: reuse the replay (see
+                // [`TraceMemo`] for why this cannot change any number).
+                if shared {
+                    if let Some(r) = memo.skip(key, h) {
                         return LaneOut::Trace {
-                            demand: m.demand,
-                            loads: m.loads,
-                            stores: m.stores,
+                            demand: r.demand,
+                            loads: r.loads,
+                            stores: r.stores,
                         };
                     }
                 }
-                let entry = shared.then(|| h.clone());
+                let entry = (shared && !h.is_reset()).then(|| h.clone());
                 // The exact reference stream of the scalar kernel: read
                 // pos[i], read every other pos[j] in the inner loop (two
                 // strided sweeps around the skipped self-pair), write
                 // acc[i]. Every per-access cost is an integer number of
                 // cycles and the total stays far below 2^53, so summing in
                 // u64 and converting once equals the per-access f64 sum.
-                let pos_base = pos_r.addr(0);
+                let pos_base = key.pos_base;
                 let stride = pos_r.elem_bytes();
                 let mut demand = 0u64;
                 for i in 0..n as u64 {
@@ -378,17 +450,21 @@ impl StepCost for OpteronStep<'_> {
                     demand += h.access(acc_r.addr(i as usize), AccessKind::Write);
                 }
                 let (loads, stores) = ((n * n) as u64, n as u64);
-                if let Some(entry) = entry {
-                    *memo = Some(TraceMemo {
-                        n,
-                        pos_base: pos_r.addr(0),
-                        acc_base: acc_r.addr(0),
+                #[cfg(test)]
+                {
+                    memo.replays += 1;
+                }
+                if shared {
+                    memo.record(
                         entry,
-                        exit: h.clone(),
-                        demand,
-                        loads,
-                        stores,
-                    });
+                        Replay {
+                            key,
+                            exit: h.clone(),
+                            demand,
+                            loads,
+                            stores,
+                        },
+                    );
                 }
                 LaneOut::Trace {
                     demand,
@@ -397,7 +473,7 @@ impl StepCost for OpteronStep<'_> {
                 }
             }
             Lane::Rows { lo, hi } => LaneOut::Rows(if shared {
-                md_core::shared_eval::host_rows(&soa, *lo..*hi, l, sub, inv_m)
+                host_rows(&soa, *lo..*hi, l, sub, inv_m)
             } else {
                 (*lo..*hi)
                     .map(|i| gather_row(&soa, i, l, sub, inv_m))
@@ -595,18 +671,66 @@ mod tests {
         run_md_from(cpu, sim, None, steps)
     }
 
+    fn energy_bits(e: &EnergyReport) -> [u64; 4] {
+        [e.total, e.potential, e.kinetic, e.temperature].map(f64::to_bits)
+    }
+
     #[test]
     fn physics_matches_untimed_kernel() {
-        let cfg = SimConfig::reduced_lj(108);
+        // 864 atoms: a box of 4 bins per edge, so the reference bins.
+        let cfg = SimConfig::reduced_lj(864);
         let mut cpu = OpteronCpu::paper_reference();
         let run = run_md(&mut cpu, &cfg, 5).run;
         let reference = OpteronCpu::untimed_energies(&cfg, 5);
-        assert!(
-            (run.energies.total - reference.total).abs() < 1e-9 * reference.total.abs(),
-            "traced replay diverged: {} vs {}",
-            run.energies.total,
-            reference.total
+        assert_eq!(
+            energy_bits(&run.energies),
+            energy_bits(&reference),
+            "traced replay diverged: {:?} vs {reference:?}",
+            run.energies
         );
+    }
+
+    /// `untimed_energies` as it was before the binned kernel: the same
+    /// trajectory through the all-pairs gather.
+    fn all_pairs_energies(sim: &SimConfig, steps: usize) -> EnergyReport {
+        let mut sys: ParticleSystem<f64> = init::initialize(sim);
+        let sub = sim.substrate::<f64>();
+        let vv = VelocityVerlet::new(sim.dt);
+        let mut kernel = md_core::forces::AllPairsFullKernel;
+        let mut pe = kernel.compute(&mut sys, &sub);
+        for _ in 0..steps {
+            pe = vv.step(&mut sys, &mut kernel, &sub);
+        }
+        EnergyReport::measure(&sys, pe)
+    }
+
+    #[test]
+    fn untimed_energies_bitwise_match_the_all_pairs_kernel() {
+        use md_core::scenario::{PrecisionPolicy, ScenarioSpec};
+        // 108 atoms is too small a box to bin (the per-row path); 864 and
+        // 2048 bin.
+        for n in [108, 864, 2048] {
+            for spec in [
+                ScenarioSpec::default(),
+                ScenarioSpec::morse_nvt(),
+                ScenarioSpec::coulomb_cutoff(),
+            ] {
+                for precision in [
+                    PrecisionPolicy::Native,
+                    PrecisionPolicy::MixedF64Accumulate,
+                    PrecisionPolicy::ForceF32,
+                ] {
+                    let sim =
+                        SimConfig::reduced_lj(n).with_scenario(spec.with_precision(precision));
+                    assert_eq!(
+                        energy_bits(&OpteronCpu::untimed_energies(&sim, 3)),
+                        energy_bits(&all_pairs_energies(&sim, 3)),
+                        "{n} atoms @ {}",
+                        sim.scenario_token()
+                    );
+                }
+            }
+        }
     }
 
     #[test]
@@ -770,6 +894,71 @@ mod tests {
         let interpretive = run_md(&mut baseline, &cfg, 3).run;
         assert_eq!(shared.checkpoint, interpretive.checkpoint);
         assert_eq!(shared.sim_seconds, interpretive.sim_seconds);
+    }
+
+    /// Every counter's final value, bitwise.
+    fn counter_bits(t: &Traced) -> Vec<(String, u64)> {
+        t.perf
+            .counters()
+            .iter()
+            .map(|c| (c.name.clone(), c.value().to_bits()))
+            .collect()
+    }
+
+    fn assert_runs_bitwise(a: &Traced, b: &Traced, ctx: &str) {
+        assert_eq!(
+            a.run.sim_seconds.to_bits(),
+            b.run.sim_seconds.to_bits(),
+            "{ctx}: sim seconds"
+        );
+        assert_eq!(a.run.checkpoint, b.run.checkpoint, "{ctx}: trajectory");
+        assert_eq!(a.run.derived, b.run.derived, "{ctx}: derived metrics");
+        assert_eq!(counter_bits(a), counter_bits(b), "{ctx}: counters");
+    }
+
+    /// `config` with the shared-eval switch (and so the trace memo) off.
+    fn baseline(config: OpteronConfig) -> OpteronCpu {
+        let mut cpu = OpteronCpu::new(config);
+        cpu.driver().shared_eval = false;
+        cpu
+    }
+
+    #[test]
+    fn segments_on_one_cpu_replay_the_trace_twice() {
+        let cfg = SimConfig::reduced_lj(256);
+        for config in [
+            OpteronConfig::paper_reference(),
+            OpteronConfig::with_prefetcher(),
+        ] {
+            let mut cpu = OpteronCpu::new(config);
+            let mut reference = baseline(config);
+            let mut cp: Option<SystemCheckpoint> = None;
+            for segment in 0..5 {
+                let memo = run_md_from(&mut cpu, &cfg, cp.as_ref(), 2);
+                let plain = run_md_from(&mut reference, &cfg, cp.as_ref(), 2);
+                assert_runs_bitwise(&memo, &plain, &format!("segment {segment}"));
+                cp = Some(memo.run.checkpoint);
+            }
+            // Five segments of three evaluations each: the first segment's
+            // cold and steady replays serve all fifteen.
+            assert_eq!(cpu.trace_memo.replays, 2, "prefetch: {}", config.prefetch);
+            assert_eq!(reference.trace_memo.replays, 15);
+        }
+    }
+
+    #[test]
+    fn alternating_sizes_stay_exact_within_the_memo_bound() {
+        let mut cpu = OpteronCpu::paper_reference();
+        for (k, n) in [256, 512, 256].into_iter().enumerate() {
+            let cfg = SimConfig::reduced_lj(n);
+            let memo = run_md(&mut cpu, &cfg, 2);
+            let plain = run_md(&mut baseline(OpteronConfig::paper_reference()), &cfg, 2);
+            assert_runs_bitwise(&memo, &plain, &format!("run {k}: {n} atoms"));
+            // A new stream replaces both entries: two replays per run.
+            assert_eq!(cpu.trace_memo.replays, 2 * (k + 1), "run {k}");
+            // At most the cold exit plus the warm entry and exit.
+            assert!(cpu.trace_memo.cache_states() <= 3, "run {k}");
+        }
     }
 
     mod faulted {

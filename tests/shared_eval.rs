@@ -11,13 +11,17 @@
 //! under fault injection, and across scenario flavors (Morse/NVT, mixed
 //! precision). f32 devices widen losslessly to f64 at checkpoint capture,
 //! so [`SystemCheckpoint`](md_core::checkpoint::SystemCheckpoint) equality
-//! is a bitwise trajectory comparison.
+//! is a bitwise trajectory comparison. The same holds for supervised runs,
+//! whose segments restart the device and so re-enter its trace memo.
 
-use harness::{DeviceKind, GpuModel};
+use harness::{run_supervised_ledger, DeviceKind, GpuModel, SupervisedRun, SupervisorConfig};
 use md_core::device::{DeviceRun, MdDevice, PerfMonitor, RunOptions};
 use md_core::params::SimConfig;
 use md_core::scenario::{PrecisionPolicy, ScenarioSpec};
 use mta::ThreadingMode;
+use sim_cluster::{ClusterMd, ClusterPolicy, InterconnectModel};
+use sim_fault::FaultPlan;
+use sim_obs::RunLedger;
 
 const PAPER_ATOMS: usize = 2048;
 const PAPER_STEPS: usize = 10;
@@ -135,7 +139,6 @@ fn scenario_flavors_match_bitwise() {
 /// recovered trajectory must be identical with the memo on or off.
 #[test]
 fn fault_injected_memoized_runs_match_baseline() {
-    use sim_fault::FaultPlan;
     let sim = SimConfig::reduced_lj(PAPER_ATOMS);
     for kind in all_devices() {
         let plan = FaultPlan::new(2024, 0.02);
@@ -151,4 +154,94 @@ fn fault_injected_memoized_runs_match_baseline() {
             kind.label()
         );
     }
+}
+
+/// A supervised paper-scale run of `dev` with its ledger's JSONL.
+fn supervised(dev: &mut dyn MdDevice) -> (SupervisedRun, String) {
+    let sim = SimConfig::reduced_lj(PAPER_ATOMS);
+    let mut ledger = RunLedger::new(&dev.label(), "supervised 2048x10");
+    let run = run_supervised_ledger(
+        dev,
+        &sim,
+        PAPER_STEPS,
+        &SupervisorConfig::default(),
+        None,
+        Some(&mut ledger),
+    );
+    (run, ledger.to_jsonl())
+}
+
+/// Everything a supervised run reports must be equal, not merely close.
+fn assert_supervised_bitwise(
+    baseline: &(SupervisedRun, String),
+    memo: &(SupervisedRun, String),
+    ctx: &str,
+) {
+    let ((base, base_ledger), (run, ledger)) = (baseline, memo);
+    assert_eq!(
+        base.sim_seconds.to_bits(),
+        run.sim_seconds.to_bits(),
+        "{ctx}: simulated seconds drifted"
+    );
+    assert_eq!(base.energies, run.energies, "{ctx}: energies drifted");
+    assert_eq!(base.checkpoint, run.checkpoint, "{ctx}: trajectory drifted");
+    let segments = |r: &SupervisedRun| -> Vec<_> {
+        r.report
+            .segments
+            .iter()
+            .map(|s| {
+                let counters: Vec<_> = s
+                    .counters
+                    .iter()
+                    .map(|(name, value, unit)| (name.clone(), value.to_bits(), *unit))
+                    .collect();
+                (s.start_step, s.steps, s.sim_seconds.to_bits(), counters)
+            })
+            .collect()
+    };
+    assert_eq!(
+        segments(base),
+        segments(run),
+        "{ctx}: segment counters drifted"
+    );
+    assert_eq!(
+        base.report.events, run.report.events,
+        "{ctx}: recovery drifted"
+    );
+    assert_eq!(base_ledger, ledger, "{ctx}: ledger drifted");
+}
+
+/// Every segment restarts the device from a reset cache, so the Opteron's
+/// trace memo is re-entered from its cold and steady entries on each one:
+/// plain, through fault retries, and on a cluster's physics node across a
+/// node kill.
+#[test]
+fn supervised_memoized_runs_match_baseline() {
+    let opteron = DeviceKind::Opteron;
+    let plain = supervised(opteron.build_baseline().as_mut());
+    assert_supervised_bitwise(&plain, &supervised(opteron.build().as_mut()), "opteron");
+
+    // Seed 11 at rate 0.5 exhausts two segments' retry budgets, and the
+    // retries recover without falling back.
+    let plan = FaultPlan::new(11, 0.5);
+    let faulted = supervised(opteron.build_baseline_faulted(plan).as_mut());
+    assert_eq!(faulted.0.report.restores, 2, "the plan must force retries");
+    assert!(!faulted.0.report.fell_back);
+    let memo = supervised(opteron.build_faulted(plan).as_mut());
+    assert_supervised_bitwise(&faulted, &memo, "faulted opteron");
+
+    let cluster = |member: fn(DeviceKind) -> Box<dyn MdDevice>| {
+        let policy = ClusterPolicy::default_policy();
+        let mut c = ClusterMd::new(
+            (0..4).map(|_| member(opteron)).collect(),
+            (0..policy.spares).map(|_| member(opteron)).collect(),
+            InterconnectModel::paper_2006(),
+            policy,
+        );
+        c.kill_node_at_step(2, 5);
+        supervised(&mut c)
+    };
+    let killed = cluster(DeviceKind::build_baseline);
+    assert!(killed.0.report.restores > 0, "the kill must force a retry");
+    assert_supervised_bitwise(&killed, &cluster(DeviceKind::build), "4-node cluster");
 }
