@@ -1,10 +1,57 @@
 //! Extension experiment: the Cray XMT projection the paper's conclusion
-//! anticipates — with and without the data-placement work its non-uniform
-//! memory demands.
+//! anticipates ("significant performance gains from the upcoming XMT
+//! technology") — with and without the data-placement work its non-uniform
+//! memory demands (§3.3: the XMT loses the MTA-2's uniform memory).
 
 use harness::report::{secs, Table};
-use harness::{experiments, write_csv, HarnessError};
+use harness::{write_csv, HarnessError};
+use md_core::device::{MdDevice, RunOptions};
+use md_core::params::SimConfig;
+use mta::{MtaConfig, MtaMd, ThreadingMode};
 use std::process::ExitCode;
+
+/// One row of the XMT scaling projection.
+struct XmtRow {
+    label: &'static str,
+    n_processors: usize,
+    seconds: f64,
+}
+
+/// The MTA-2 baseline, then the optimistic XMT (placed data) and the
+/// locality-blind XMT (80% of the gather's references go remote) at each
+/// processor count. The XMT machines are hypothetical configurations
+/// outside the paper's evaluation grid, so they are built directly rather
+/// than via `DeviceKind`.
+fn xmt_projection(
+    n_atoms: usize,
+    steps: usize,
+    processors: &[usize],
+) -> Result<Vec<XmtRow>, HarnessError> {
+    let sim = SimConfig::reduced_lj(n_atoms);
+    let seconds = |config: MtaConfig| -> Result<f64, HarnessError> {
+        Ok(MtaMd::new(config, ThreadingMode::FullyMultithreaded)
+            .run(&sim, RunOptions::steps(steps))?
+            .sim_seconds)
+    };
+    let mut rows = vec![XmtRow {
+        label: "MTA-2",
+        n_processors: 1,
+        seconds: seconds(MtaConfig::paper_mta2())?,
+    }];
+    for &p in processors {
+        rows.push(XmtRow {
+            label: "XMT (placed data)",
+            n_processors: p,
+            seconds: seconds(MtaConfig::xmt(p))?,
+        });
+        rows.push(XmtRow {
+            label: "XMT (locality-blind)",
+            n_processors: p,
+            seconds: seconds(MtaConfig::xmt_nonuniform(p, 0.8))?,
+        });
+    }
+    Ok(rows)
+}
 
 fn main() -> ExitCode {
     match run() {
@@ -19,7 +66,7 @@ fn main() -> ExitCode {
 fn run() -> Result<(), HarnessError> {
     let (n, steps) = (2048usize, 4usize);
     println!("XMT projection — MD kernel, {n} atoms, {steps} steps (extension)\n");
-    let rows = experiments::xmt_projection(n, steps, &[1, 4, 16, 64]);
+    let rows = xmt_projection(n, steps, &[1, 4, 16, 64])?;
 
     let baseline = rows
         .first()

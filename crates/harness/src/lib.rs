@@ -1,19 +1,16 @@
-//! Experiment harness: regenerates every table and figure of the paper's
-//! evaluation section from the simulated devices.
+//! Device harness: names every simulated machine, runs it, supervises it,
+//! and collects its metrics. The paper's tables and figures are built on
+//! top of this crate by the sweep engine (`crates/sim-sweep`), which owns
+//! each artifact's spec, typed rows and renderer.
 //!
-//! Each experiment is a plain function returning a typed result, used by
-//! three consumers: the `sweep` engine and its per-figure binaries
-//! (`crates/sim-sweep`), the workspace integration tests (shape assertions),
-//! and EXPERIMENTS.md.
-//!
-//! | Paper artifact | Function | Binary (sim-sweep) |
-//! |---|---|---|
-//! | Figure 5 (SPE SIMD ladder) | [`experiments::fig5`] | `fig5` |
-//! | Figure 6 (SPE launch overhead) | [`experiments::fig6`] | `fig6` |
-//! | Table 1 (Cell vs Opteron) | [`experiments::table1`] | `table1` |
-//! | Figure 7 (GPU vs Opteron sweep) | [`experiments::fig7`] | `fig7` |
-//! | Figure 8 (MTA full vs partial MT) | [`experiments::fig8`] | `fig8` |
-//! | Figure 9 (relative scaling) | [`experiments::fig9`] | `fig9` |
+//! | Module | Owns |
+//! |---|---|
+//! | [`device`] | [`DeviceKind`], the single construction point for every simulated machine |
+//! | [`cluster`] | [`ClusterKind`] and supervised cluster runs with node recovery |
+//! | [`supervisor`] | checkpoint/retry/fallback supervision of one device run |
+//! | [`perf`] | the one run-and-collect path ([`device_metrics`]) and run ledgers |
+//! | [`report`] | aligned tables and CSV output under `results/` |
+//! | [`error`] | [`HarnessError`] |
 //!
 //! Devices are named by [`device::DeviceKind`] and driven uniformly through
 //! [`md_core::device::MdDevice`]; [`device::DeviceKind::build`] is the single
@@ -22,7 +19,6 @@
 pub mod cluster;
 pub mod device;
 pub mod error;
-pub mod experiments;
 pub mod perf;
 pub mod report;
 pub mod supervisor;
@@ -30,17 +26,18 @@ pub mod supervisor;
 pub use cluster::{run_cluster_supervised, ClusterKind, ClusterRecovery};
 pub use device::{DeviceKind, GpuModel};
 pub use error::HarnessError;
-pub use experiments::{
-    fig5, fig6, fig7, fig8, fig9, table1, Fig5Row, Fig6Case, Fig7Row, Fig8Row, Fig9Row, Table1Data,
-};
 pub use perf::{
-    cell_metrics, cluster_ledger, cluster_metrics, device_baseline_metrics_host, device_ledger,
-    device_metrics, device_metrics_host, device_metrics_par, gpu_metrics, mta_metrics,
-    opteron_baseline_metrics_host, opteron_metrics, record_host_throughput_ledger,
-    standard_metrics, workload_label, write_metrics_json, write_metrics_json_in,
+    cluster_ledger, cluster_metrics, device_baseline_metrics_host, device_ledger, device_metrics,
+    device_metrics_host, device_metrics_par, record_host_throughput_ledger, workload_label,
+    write_metrics_json, write_metrics_json_in,
 };
 pub use report::{emit_figure, write_csv, Table};
 pub use supervisor::{
     run_supervised, run_supervised_ledger, run_supervised_strict, RecoveryEvent, RecoveryReport,
     SegmentCounters, SupervisedRun, SupervisorConfig, SUPERVISOR_TRACK,
 };
+
+/// Atoms in the paper's standard workload.
+pub const PAPER_ATOMS: usize = 2048;
+/// Time steps in the paper's standard workload.
+pub const PAPER_STEPS: usize = 10;

@@ -20,12 +20,10 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-use crate::device::{DeviceKind, GpuModel};
+use crate::device::DeviceKind;
 use crate::error::HarnessError;
-use cell_be::CellRunConfig;
 use md_core::device::{collect_metrics, HostParallelism, MdDevice, RunOptions};
 use md_core::params::SimConfig;
-use mta::ThreadingMode;
 use sim_obs::RunLedger;
 use sim_perf::{PerfMonitor, RunMetrics};
 
@@ -219,63 +217,6 @@ pub fn device_baseline_metrics_host(
     Ok((m, perf))
 }
 
-/// [`device_baseline_metrics_host`] for the Opteron reference (the original
-/// memo-off baseline; kept as a named shorthand for its callers).
-pub fn opteron_baseline_metrics_host(
-    sim: &SimConfig,
-    steps: usize,
-) -> Result<(RunMetrics, PerfMonitor), HarnessError> {
-    device_baseline_metrics_host(DeviceKind::Opteron, sim, steps, HostParallelism::Serial)
-}
-
-/// Counters + attribution for a Cell run at `run.n_spes` SPEs.
-pub fn cell_metrics(
-    sim: &SimConfig,
-    steps: usize,
-    run: CellRunConfig,
-) -> Result<(RunMetrics, PerfMonitor), HarnessError> {
-    device_metrics(DeviceKind::cell(run), sim, steps)
-}
-
-/// Counters + attribution for a GeForce 7900 GTX run.
-pub fn gpu_metrics(sim: &SimConfig, steps: usize) -> (RunMetrics, PerfMonitor) {
-    device_metrics(
-        DeviceKind::Gpu {
-            model: GpuModel::GeForce7900Gtx,
-        },
-        sim,
-        steps,
-    )
-    .expect("the GPU device model is infallible")
-}
-
-/// Counters + attribution for the Opteron reference run.
-pub fn opteron_metrics(sim: &SimConfig, steps: usize) -> (RunMetrics, PerfMonitor) {
-    device_metrics(DeviceKind::Opteron, sim, steps)
-        .expect("the Opteron reference device is infallible")
-}
-
-/// Counters + attribution for an MTA-2 run in `mode`.
-pub fn mta_metrics(
-    sim: &SimConfig,
-    steps: usize,
-    mode: ThreadingMode,
-) -> (RunMetrics, PerfMonitor) {
-    device_metrics(DeviceKind::Mta { mode }, sim, steps)
-        .expect("the MTA device model is infallible")
-}
-
-/// One record per device (Cell best-config, GPU, Opteron, MTA full-MT)
-/// at the same workload, in report order.
-pub fn standard_metrics(sim: &SimConfig, steps: usize) -> Result<Vec<RunMetrics>, HarnessError> {
-    Ok(vec![
-        cell_metrics(sim, steps, CellRunConfig::best())?.0,
-        gpu_metrics(sim, steps).0,
-        opteron_metrics(sim, steps).0,
-        mta_metrics(sim, steps, ThreadingMode::FullyMultithreaded).0,
-    ])
-}
-
 /// Write one record to `results/metrics/<device>_n<atoms>_s<steps>.json`
 /// (schema-versioned; validated by [`sim_perf::validate_run_metrics_json`]).
 pub fn write_metrics_json(m: &RunMetrics) -> io::Result<PathBuf> {
@@ -295,6 +236,8 @@ pub fn write_metrics_json_in(dir: impl AsRef<Path>, m: &RunMetrics) -> io::Resul
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::device::GpuModel;
+    use mta::ThreadingMode;
 
     fn small() -> SimConfig {
         SimConfig::reduced_lj(108)
@@ -303,7 +246,17 @@ mod tests {
     #[test]
     fn every_device_record_validates() {
         let sim = small();
-        for m in standard_metrics(&sim, 3).expect("runs succeed") {
+        for kind in [
+            DeviceKind::cell_best(),
+            DeviceKind::Gpu {
+                model: GpuModel::GeForce7900Gtx,
+            },
+            DeviceKind::Opteron,
+            DeviceKind::Mta {
+                mode: ThreadingMode::FullyMultithreaded,
+            },
+        ] {
+            let (m, _) = device_metrics(kind, &sim, 3).expect("runs succeed");
             m.validate().unwrap_or_else(|e| panic!("{}: {e}", m.device));
             assert!(m.sim_seconds > 0.0, "{}", m.device);
             sim_perf::validate_run_metrics_json(&m.to_json())
@@ -314,7 +267,7 @@ mod tests {
     #[test]
     fn cell_metrics_carry_flops_and_dma_traffic() {
         let sim = small();
-        let (m, _) = cell_metrics(&sim, 2, CellRunConfig::best()).expect("cell run");
+        let (m, _) = device_metrics(DeviceKind::cell_best(), &sim, 2).expect("cell run");
         assert_eq!(m.device, "cell-8spe");
         assert!(m.counter_value("cell.flops.simd") > 0.0);
         assert!(m.counter_value("cell.dma.bytes_in") > 0.0);
@@ -325,7 +278,10 @@ mod tests {
     #[test]
     fn gpu_fractions_cover_the_whole_run() {
         let sim = small();
-        let (m, _) = gpu_metrics(&sim, 2);
+        let gpu = DeviceKind::Gpu {
+            model: GpuModel::GeForce7900Gtx,
+        };
+        let (m, _) = device_metrics(gpu, &sim, 2).expect("gpu run");
         let t = m.derived_value("transfer_overhead_fraction");
         let c = m.derived_value("compute_fraction");
         assert!(((t + c) - 1.0).abs() < 1e-9, "{t} + {c} != 1");
@@ -334,7 +290,7 @@ mod tests {
     #[test]
     fn opteron_attribution_is_two_buckets() {
         let sim = small();
-        let (m, _) = opteron_metrics(&sim, 2);
+        let (m, _) = device_metrics(DeviceKind::Opteron, &sim, 2).expect("opteron run");
         let sum = m.attribution_seconds("compute") + m.attribution_seconds("memory_stall");
         assert!((sum - m.sim_seconds).abs() <= 1e-9 * m.sim_seconds);
         let f = m.derived_value("memory_stall_fraction");
@@ -344,7 +300,10 @@ mod tests {
     #[test]
     fn mta_full_mt_keeps_streams_busy() {
         let sim = small();
-        let (m, _) = mta_metrics(&sim, 2, ThreadingMode::FullyMultithreaded);
+        let mta = DeviceKind::Mta {
+            mode: ThreadingMode::FullyMultithreaded,
+        };
+        let (m, _) = device_metrics(mta, &sim, 2).expect("mta run");
         let occ = m.derived_value("avg_stream_occupancy");
         assert!(occ > 1.0, "full-MT run should use many streams: {occ}");
         let phantom = m.derived_value("phantom_fraction");
@@ -371,7 +330,7 @@ mod tests {
     #[test]
     fn metrics_json_round_trips_to_disk() {
         let sim = small();
-        let (m, _) = opteron_metrics(&sim, 1);
+        let (m, _) = device_metrics(DeviceKind::Opteron, &sim, 1).expect("opteron run");
         let dir = std::env::temp_dir().join("mdea-perf-roundtrip");
         let path = write_metrics_json_in(&dir, &m).expect("write");
         let text = fs::read_to_string(&path).expect("read back");

@@ -1,22 +1,15 @@
 //! Regenerates Figure 5: SIMD optimization ladder for the MD kernel on one
-//! SPE (runtime of the acceleration computation, 2048 atoms). A thin
-//! `SweepSpec` declaration: warm-cache runs render without executing any
-//! device simulation.
+//! SPE (runtime of the acceleration computation, 2048 atoms). Warm-cache
+//! runs render without executing any device simulation.
+//!
+//! Flags (see `sim_sweep::figures::figure_main`): `--no-cache` executes
+//! every point without touching the result cache; `--host-threads N` runs
+//! each point's simulated lanes on N host threads.
 
-use sim_sweep::{figures, run_sweep, spec, EngineConfig, SweepError};
+use sim_sweep::{figures, spec};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
-    match run() {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("fig5: {e}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
-fn run() -> Result<(), SweepError> {
-    let report = run_sweep(&spec::fig5(), &EngineConfig::default())?;
-    figures::render_fig5(&report)
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    figures::figure_main(&spec::fig5(), figures::render_fig5, &args)
 }

@@ -1,20 +1,14 @@
 //! Regenerates Figure 8: fully vs partially multithreaded MD kernel on the
-//! Cray MTA-2. A thin `SweepSpec` declaration over the result cache.
+//! Cray MTA-2.
+//!
+//! Flags (see `sim_sweep::figures::figure_main`): `--no-cache` executes
+//! every point without touching the result cache; `--host-threads N` runs
+//! each point's simulated lanes on N host threads.
 
-use sim_sweep::{figures, run_sweep, spec, EngineConfig, SweepError};
+use sim_sweep::{figures, spec};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
-    match run() {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("fig8: {e}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
-fn run() -> Result<(), SweepError> {
-    let report = run_sweep(&spec::fig8(), &EngineConfig::default())?;
-    figures::render_fig8(&report)
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    figures::figure_main(&spec::fig8(), figures::render_fig8, &args)
 }

@@ -1,56 +1,17 @@
 //! Regenerates Figure 9: increase in runtime relative to the 256-atom run,
-//! MTA-2 vs Opteron. A thin `SweepSpec` declaration over the result cache;
-//! its absolute-runtime points are shared with fig7/fig8 where the grids
-//! overlap, so a prior fig7+fig8 run leaves most of this figure warm.
+//! MTA-2 vs Opteron. Its absolute-runtime points are shared with fig7/fig8
+//! where the grids overlap, so a prior fig7+fig8 run leaves most of this
+//! figure warm. CI's `host-parallel` job diffs a `--host-threads 8`
+//! render against a serial one byte for byte.
 //!
-//! Flags (used by CI's `host-parallel` job to diff a threaded execution
-//! against a serial one byte for byte):
-//!
-//! - `--no-cache` — execute every point; skip cache lookup and store.
-//! - `--host-threads N` — run each point's simulated lanes on N host
-//!   threads (0 = all cores; results are bitwise identical regardless).
+//! Flags (see `sim_sweep::figures::figure_main`): `--no-cache` executes
+//! every point without touching the result cache; `--host-threads N` runs
+//! each point's simulated lanes on N host threads.
 
-use sim_sweep::{figures, run_sweep, spec, EngineConfig, SweepError};
+use sim_sweep::{figures, spec};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match parse(&args).map_err(SweepError::Io).and_then(run) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("fig9: {e}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
-fn parse(args: &[String]) -> Result<EngineConfig, std::io::Error> {
-    let bad = |msg: String| std::io::Error::new(std::io::ErrorKind::InvalidInput, msg);
-    let mut cfg = EngineConfig::default();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--no-cache" => cfg.use_cache = false,
-            "--host-threads" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| bad("--host-threads needs a thread count".into()))?;
-                cfg.host_threads = v
-                    .parse()
-                    .map_err(|_| bad(format!("bad --host-threads value '{v}'")))?;
-            }
-            other => return Err(bad(format!("unknown flag '{other}'"))),
-        }
-    }
-    if cfg.host_threads != 1 {
-        // Intra-run parallelism needs the whole thread budget at lane level
-        // (the nested-pool guard in `run_sweep` ignores it otherwise).
-        cfg.jobs = 1;
-    }
-    Ok(cfg)
-}
-
-fn run(cfg: EngineConfig) -> Result<(), SweepError> {
-    let report = run_sweep(&spec::fig9(), &cfg)?;
-    figures::render_fig9(&report)
+    figures::figure_main(&spec::fig9(), figures::render_fig9, &args)
 }

@@ -1,21 +1,14 @@
 //! Regenerates Table 1: performance comparison of the MD calculation,
 //! Opteron vs Cell (1 SPE / 8 SPEs / PPE only), 2048 atoms, 10 time steps.
-//! A thin `SweepSpec` declaration over the result cache.
+//!
+//! Flags (see `sim_sweep::figures::figure_main`): `--no-cache` executes
+//! every point without touching the result cache; `--host-threads N` runs
+//! each point's simulated lanes on N host threads.
 
-use sim_sweep::{figures, run_sweep, spec, EngineConfig, SweepError};
+use sim_sweep::{figures, spec};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
-    match run() {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("table1: {e}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
-fn run() -> Result<(), SweepError> {
-    let report = run_sweep(&spec::table1(), &EngineConfig::default())?;
-    figures::render_table1(&report)
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    figures::figure_main(&spec::table1(), figures::render_table1, &args)
 }

@@ -1,5 +1,10 @@
-//! Renderers: turn a [`SweepReport`]'s metrics records back into the paper
-//! artifacts — aligned table, shape-check lines, CSV under `results/`.
+//! The paper's artifacts, one pipeline each: a spec in [`crate::spec`], a
+//! typed extractor here (`fig5_rows`, `fig6_cases`, `table1_data`,
+//! `fig7_rows`, `fig8_rows`, `fig9_rows`: [`SweepReport`] → typed rows) and a
+//! renderer (`render_*`: rows → aligned table, shape-check lines, CSV under
+//! `results/`). Each renderer calls its extractor, so the rows the shape
+//! tests in `tests/paper_shapes.rs` assert on are the rows that get
+//! published. [`figure_main`] is the whole of each figure binary.
 //!
 //! Byte-compatibility contract: every renderer reproduces the exact stdout
 //! and CSV bytes of the pre-sweep-engine figure binaries (the recorded
@@ -7,50 +12,129 @@
 //! through the cache ([`sim_perf::RunMetrics::from_json`]), so a warm-cache
 //! render equals a cold one.
 
-use crate::engine::{PointResult, SweepError, SweepReport};
-use cell_be::SpawnPolicy;
-use harness::experiments::{PAPER_ATOMS, PAPER_STEPS};
+use crate::engine::{EngineConfig, SweepError, SweepReport};
+use crate::spec::SweepSpec;
+use cell_be::{SpawnPolicy, SpeKernelVariant};
 use harness::report::{emit_figure, secs, Table};
-use harness::{DeviceKind, Fig6Case, HarnessError, Table1Data};
+use harness::{DeviceKind, GpuModel, HarnessError, PAPER_ATOMS, PAPER_STEPS};
+use mta::ThreadingMode;
 use std::fmt::Write as _;
+use std::process::ExitCode;
 
 /// Schema of `BENCH_seed.json` (moved here from the harness with the
 /// `bench_seed` binary).
 pub const BENCH_SCHEMA_VERSION: u32 = 1;
+
+/// Engine settings from a figure binary's arguments:
+///
+/// - `--no-cache` — execute every point; skip cache lookup and store.
+/// - `--host-threads N` — run each point's simulated lanes on N host
+///   threads (0 = all cores; results are bitwise identical regardless).
+///
+/// Anything else is an error.
+fn figure_config(args: &[String]) -> Result<EngineConfig, String> {
+    let mut cfg = EngineConfig::default();
+    let mut it = args.iter();
+    while let Some(arg) = it.next() {
+        match arg.as_str() {
+            "--no-cache" => cfg.use_cache = false,
+            "--host-threads" => {
+                let v = it.next().ok_or("--host-threads needs a thread count")?;
+                cfg.host_threads = v
+                    .parse()
+                    .map_err(|_| format!("bad --host-threads value '{v}'"))?;
+            }
+            other => {
+                return Err(format!(
+                    "unknown flag '{other}' (flags: --no-cache, --host-threads N)"
+                ))
+            }
+        }
+    }
+    if cfg.host_threads != 1 {
+        // Intra-run parallelism needs the whole thread budget at lane level
+        // (the nested-pool guard in `run_sweep` ignores it otherwise).
+        cfg.jobs = 1;
+    }
+    Ok(cfg)
+}
+
+/// The whole of a figure binary: parse `args` (`--no-cache`,
+/// `--host-threads N`), run `spec` through the engine and render the
+/// report. Failures are printed
+/// under the spec's name and exit nonzero.
+pub fn figure_main(
+    spec: &SweepSpec,
+    render: fn(&SweepReport) -> Result<(), SweepError>,
+    args: &[String],
+) -> ExitCode {
+    let outcome = figure_config(args).and_then(|cfg| {
+        crate::engine::run_sweep(spec, &cfg)
+            .and_then(|report| render(&report))
+            .map_err(|e| e.to_string())
+    });
+    match outcome {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("{}: {e}", spec.name);
+            ExitCode::FAILURE
+        }
+    }
+}
+
+// ---------------------------------------------------------------- Figure 5
+
+/// One bar of Figure 5: an optimization stage and the simulated runtime of
+/// one acceleration-function invocation (1 SPE).
+#[derive(Clone, Debug)]
+pub struct Fig5Row {
+    pub variant: SpeKernelVariant,
+    pub label: &'static str,
+    pub seconds: f64,
+}
+
+/// Figure 5's bars, one per single-SPE probe point, in spec order.
+pub fn fig5_rows(report: &SweepReport) -> Result<Vec<Fig5Row>, SweepError> {
+    report
+        .results
+        .iter()
+        .map(|r| match r.point.device {
+            DeviceKind::CellAccel { variant } => Ok(Fig5Row {
+                variant,
+                label: variant.label(),
+                seconds: r.metrics.sim_seconds,
+            }),
+            _ => Err(HarnessError::MissingRow("a fig5 single-SPE probe point").into()),
+        })
+        .collect()
+}
 
 /// Figure 5: SIMD optimization ladder.
 pub fn render_fig5(report: &SweepReport) -> Result<(), SweepError> {
     let n = PAPER_ATOMS;
     let title =
         format!("Figure 5 — SIMD optimization for the MD kernel ({n} atoms, 1 SPE, 1 force eval)");
-    let rows: Vec<(&'static str, f64)> = report
-        .results
-        .iter()
-        .map(|r| match r.point.device {
-            DeviceKind::CellAccel { variant } => Ok((variant.label(), r.metrics.sim_seconds)),
-            _ => Err(HarnessError::MissingRow("a fig5 single-SPE probe point")),
-        })
-        .collect::<Result<_, _>>()?;
+    let rows = fig5_rows(report)?;
 
     let mut table = Table::new(&["optimization stage", "simulated runtime", "vs original"]);
     let base = rows
         .first()
         .ok_or(HarnessError::MissingRow("the original (scalar) stage"))?
-        .1;
+        .seconds;
     let mut csv = Vec::new();
-    for &(label, seconds) in &rows {
+    for r in &rows {
         table.row(&[
-            label.to_string(),
-            secs(seconds),
-            format!("{:.2}x", base / seconds),
+            r.label.to_string(),
+            secs(r.seconds),
+            format!("{:.2}x", base / r.seconds),
         ]);
-        csv.push(vec![label.to_string(), format!("{seconds:.9}")]);
+        csv.push(vec![r.label.to_string(), format!("{:.9}", r.seconds)]);
     }
 
     if rows.len() < 6 {
         return Err(HarnessError::MissingRow("all six optimization stages").into());
     }
-    let v = |i: usize| rows[i].1;
+    let v = |i: usize| rows[i].seconds;
     let checks = vec![
         format!(
             "  copysign gives a small speedup:            {:.1}%  (paper: 'small')",
@@ -84,11 +168,28 @@ pub fn render_fig5(report: &SweepReport) -> Result<(), SweepError> {
     .map_err(SweepError::Io)
 }
 
-/// Figure 6: SPE thread-launch overhead.
-pub fn render_fig6(report: &SweepReport) -> Result<(), SweepError> {
-    let (n, steps) = (PAPER_ATOMS, PAPER_STEPS);
-    let title = format!("Figure 6 — SPE launch overhead on MD ({n} atoms, {steps} time steps)");
-    let cases: Vec<Fig6Case> = report
+// ---------------------------------------------------------------- Figure 6
+
+/// One bar pair of Figure 6: total runtime and the part spent launching SPE
+/// threads.
+#[derive(Clone, Debug)]
+pub struct Fig6Case {
+    pub label: String,
+    pub n_spes: usize,
+    pub policy: SpawnPolicy,
+    pub total_seconds: f64,
+    pub launch_seconds: f64,
+}
+
+impl Fig6Case {
+    pub fn launch_fraction(&self) -> f64 {
+        self.launch_seconds / self.total_seconds
+    }
+}
+
+/// Figure 6's cases, one per Cell configuration point, in spec order.
+pub fn fig6_cases(report: &SweepReport) -> Result<Vec<Fig6Case>, SweepError> {
+    report
         .results
         .iter()
         .map(|r| match r.point.device {
@@ -108,9 +209,16 @@ pub fn render_fig6(report: &SweepReport) -> Result<(), SweepError> {
                     launch_seconds: r.metrics.attribution_seconds("spe_spawn"),
                 })
             }
-            _ => Err(HarnessError::MissingRow("a fig6 Cell configuration point")),
+            _ => Err(HarnessError::MissingRow("a fig6 Cell configuration point").into()),
         })
-        .collect::<Result<_, _>>()?;
+        .collect()
+}
+
+/// Figure 6: SPE thread-launch overhead.
+pub fn render_fig6(report: &SweepReport) -> Result<(), SweepError> {
+    let (n, steps) = (PAPER_ATOMS, PAPER_STEPS);
+    let title = format!("Figure 6 — SPE launch overhead on MD ({n} atoms, {steps} time steps)");
+    let cases = fig6_cases(report)?;
 
     let mut table = Table::new(&[
         "configuration",
@@ -173,27 +281,66 @@ pub fn render_fig6(report: &SweepReport) -> Result<(), SweepError> {
     .map_err(SweepError::Io)
 }
 
-/// Table 1: Cell vs Opteron.
-pub fn render_table1(report: &SweepReport) -> Result<(), SweepError> {
-    let (n, steps) = (PAPER_ATOMS, PAPER_STEPS);
-    let title =
-        format!("Table 1 — performance comparison of MD calculations ({n} atoms, {steps} steps)");
-    let seconds_of = |label: &str| {
+// ---------------------------------------------------------------- Table 1
+
+/// Table 1: total runtime of each system at one workload.
+#[derive(Clone, Debug)]
+pub struct Table1Data {
+    pub n_atoms: usize,
+    pub steps: usize,
+    pub opteron_seconds: f64,
+    pub cell_1spe_seconds: f64,
+    pub cell_8spe_seconds: f64,
+    pub cell_ppe_seconds: f64,
+}
+
+impl Table1Data {
+    /// Paper: "better than 5x performance improvement relative to the Opteron".
+    pub fn speedup_8spe_vs_opteron(&self) -> f64 {
+        self.opteron_seconds / self.cell_8spe_seconds
+    }
+    /// Paper: "26x faster than the PPE alone".
+    pub fn speedup_8spe_vs_ppe(&self) -> f64 {
+        self.cell_ppe_seconds / self.cell_8spe_seconds
+    }
+    /// Paper: "even a single SPE just edges out the Opteron".
+    pub fn speedup_1spe_vs_opteron(&self) -> f64 {
+        self.opteron_seconds / self.cell_1spe_seconds
+    }
+}
+
+/// Table 1's systems, looked up by device; the workload is the first
+/// point's.
+pub fn table1_data(report: &SweepReport) -> Result<Table1Data, SweepError> {
+    let seconds_of = |kind: DeviceKind| {
         report
             .results
             .iter()
-            .find(|r| r.metrics.device == label)
+            .find(|r| r.point.device == kind)
             .map(|r| r.metrics.sim_seconds)
             .ok_or(HarnessError::MissingRow("a table1 system row"))
     };
-    let t = Table1Data {
-        n_atoms: n,
-        steps,
-        opteron_seconds: seconds_of("opteron")?,
-        cell_1spe_seconds: seconds_of("cell-1spe")?,
-        cell_8spe_seconds: seconds_of("cell-8spe")?,
-        cell_ppe_seconds: seconds_of("cell-ppe")?,
-    };
+    let first = report
+        .results
+        .first()
+        .ok_or(HarnessError::MissingRow("a table1 system row"))?;
+    Ok(Table1Data {
+        n_atoms: first.point.n_atoms,
+        steps: first.point.steps,
+        opteron_seconds: seconds_of(DeviceKind::Opteron)?,
+        cell_1spe_seconds: seconds_of(DeviceKind::cell_single_spe())?,
+        cell_8spe_seconds: seconds_of(DeviceKind::cell_best())?,
+        cell_ppe_seconds: seconds_of(DeviceKind::CellPpe)?,
+    })
+}
+
+/// Table 1: Cell vs Opteron.
+pub fn render_table1(report: &SweepReport) -> Result<(), SweepError> {
+    let t = table1_data(report)?;
+    let title = format!(
+        "Table 1 — performance comparison of MD calculations ({} atoms, {} steps)",
+        t.n_atoms, t.steps
+    );
 
     let mut table = Table::new(&["system", "simulated runtime"]);
     table.row(&["Opteron (2.2 GHz)".into(), secs(t.opteron_seconds)]);
@@ -233,54 +380,87 @@ pub fn render_table1(report: &SweepReport) -> Result<(), SweepError> {
 }
 
 /// Split a size-major two-series report into `(n_atoms, first, second)`
-/// triples, validating the expected pairing.
-fn paired_series(report: &SweepReport) -> Result<Vec<(usize, f64, f64)>, SweepError> {
-    if !report.results.len().is_multiple_of(2) {
+/// triples, checking that every pair runs `series` at one atom count.
+fn paired_series(
+    report: &SweepReport,
+    series: [DeviceKind; 2],
+) -> Result<Vec<(usize, f64, f64)>, SweepError> {
+    let pairs = report.results.chunks_exact(2);
+    if !pairs.remainder().is_empty() {
         return Err(HarnessError::MissingRow("a complete series pair").into());
     }
-    Ok(report
-        .results
-        .chunks(2)
-        .map(|pair: &[PointResult]| {
-            (
-                pair[0].point.n_atoms,
-                pair[0].metrics.sim_seconds,
-                pair[1].metrics.sim_seconds,
-            )
+    pairs
+        .map(|pair| {
+            let (a, b) = (&pair[0], &pair[1]);
+            if [a.point.device, b.point.device] != series || a.point.n_atoms != b.point.n_atoms {
+                return Err(HarnessError::MissingRow("a complete series pair").into());
+            }
+            Ok((
+                a.point.n_atoms,
+                a.metrics.sim_seconds,
+                b.metrics.sim_seconds,
+            ))
+        })
+        .collect()
+}
+
+// ---------------------------------------------------------------- Figure 7
+
+/// One x-position of Figure 7: runtimes at a given atom count.
+#[derive(Clone, Debug)]
+pub struct Fig7Row {
+    pub n_atoms: usize,
+    pub opteron_seconds: f64,
+    pub gpu_seconds: f64,
+}
+
+/// Figure 7's rows: per atom count, the Opteron point then the GPU point.
+pub fn fig7_rows(report: &SweepReport) -> Result<Vec<Fig7Row>, SweepError> {
+    let gpu = DeviceKind::Gpu {
+        model: GpuModel::GeForce7900Gtx,
+    };
+    Ok(paired_series(report, [DeviceKind::Opteron, gpu])?
+        .into_iter()
+        .map(|(n_atoms, opteron_seconds, gpu_seconds)| Fig7Row {
+            n_atoms,
+            opteron_seconds,
+            gpu_seconds,
         })
         .collect())
 }
 
-/// Figure 7: GPU vs Opteron across atom counts.
+/// Figure 7: GPU vs Opteron across atom counts (GPU startup excluded,
+/// per-step transfer costs included — exactly the paper's accounting).
 pub fn render_fig7(report: &SweepReport) -> Result<(), SweepError> {
     let steps = PAPER_STEPS;
     let title = format!("Figure 7 — performance results on GPU vs Opteron ({steps} time steps)");
-    // Spec order per size: Opteron then GPU.
-    let rows: Vec<(usize, f64, f64)> = paired_series(report)?;
+    let rows = fig7_rows(report)?;
 
     let mut table = Table::new(&["atoms", "Opteron", "NVIDIA GPU", "GPU speedup"]);
     let mut csv = Vec::new();
-    for &(n_atoms, opteron_seconds, gpu_seconds) in &rows {
+    for r in &rows {
         table.row(&[
-            n_atoms.to_string(),
-            secs(opteron_seconds),
-            secs(gpu_seconds),
-            format!("{:.2}x", opteron_seconds / gpu_seconds),
+            r.n_atoms.to_string(),
+            secs(r.opteron_seconds),
+            secs(r.gpu_seconds),
+            format!("{:.2}x", r.opteron_seconds / r.gpu_seconds),
         ]);
         csv.push(vec![
-            n_atoms.to_string(),
-            format!("{opteron_seconds:.9}"),
-            format!("{gpu_seconds:.9}"),
+            r.n_atoms.to_string(),
+            format!("{:.9}", r.opteron_seconds),
+            format!("{:.9}", r.gpu_seconds),
         ]);
     }
 
     let crossover = rows
         .windows(2)
-        .find(|w| w[0].2 >= w[0].1 && w[1].2 < w[1].1)
-        .map(|w| (w[0].0, w[1].0));
-    let &(_, opteron_2048, gpu_2048) = rows
+        .find(|w| {
+            w[0].gpu_seconds >= w[0].opteron_seconds && w[1].gpu_seconds < w[1].opteron_seconds
+        })
+        .map(|w| (w[0].n_atoms, w[1].n_atoms));
+    let at_2048 = rows
         .iter()
-        .find(|r| r.0 == 2048)
+        .find(|r| r.n_atoms == 2048)
         .ok_or(HarnessError::MissingRow("the 2048-atom point"))?;
 
     let mut checks = Vec::new();
@@ -290,7 +470,7 @@ pub fn render_fig7(report: &SweepReport) -> Result<(), SweepError> {
         )),
         None => checks.push(format!(
             "  crossover: GPU {} at the smallest size measured",
-            if rows[0].2 > rows[0].1 {
+            if rows[0].gpu_seconds > rows[0].opteron_seconds {
                 "slower"
             } else {
                 "faster"
@@ -299,7 +479,7 @@ pub fn render_fig7(report: &SweepReport) -> Result<(), SweepError> {
     }
     checks.push(format!(
         "  GPU speedup at 2048 atoms: {:.2}x  (paper: 'almost 6x faster than the CPU')",
-        opteron_2048 / gpu_2048
+        at_2048.opteron_seconds / at_2048.gpu_seconds
     ));
     emit_figure(
         &title,
@@ -312,14 +492,46 @@ pub fn render_fig7(report: &SweepReport) -> Result<(), SweepError> {
     .map_err(SweepError::Io)
 }
 
+// ---------------------------------------------------------------- Figure 8
+
+/// One x-position of Figure 8.
+#[derive(Clone, Debug)]
+pub struct Fig8Row {
+    pub n_atoms: usize,
+    pub fully_mt_seconds: f64,
+    pub partially_mt_seconds: f64,
+}
+
+/// Figure 8's rows: per atom count, the fully then the partially
+/// multithreaded MTA-2 point.
+pub fn fig8_rows(report: &SweepReport) -> Result<Vec<Fig8Row>, SweepError> {
+    let series = [
+        DeviceKind::Mta {
+            mode: ThreadingMode::FullyMultithreaded,
+        },
+        DeviceKind::Mta {
+            mode: ThreadingMode::PartiallyMultithreaded,
+        },
+    ];
+    Ok(paired_series(report, series)?
+        .into_iter()
+        .map(
+            |(n_atoms, fully_mt_seconds, partially_mt_seconds)| Fig8Row {
+                n_atoms,
+                fully_mt_seconds,
+                partially_mt_seconds,
+            },
+        )
+        .collect())
+}
+
 /// Figure 8: fully vs partially multithreaded MTA-2 kernel.
 pub fn render_fig8(report: &SweepReport) -> Result<(), SweepError> {
     let steps = PAPER_STEPS;
     let title = format!(
         "Figure 8 — fully vs partially multithreaded MD kernel on the MTA-2 ({steps} steps)"
     );
-    // Spec order per size: fully-MT then partially-MT.
-    let rows: Vec<(usize, f64, f64)> = paired_series(report)?;
+    let rows = fig8_rows(report)?;
 
     let mut table = Table::new(&[
         "atoms",
@@ -328,17 +540,17 @@ pub fn render_fig8(report: &SweepReport) -> Result<(), SweepError> {
         "gap",
     ]);
     let mut csv = Vec::new();
-    for &(n_atoms, fully, partially) in &rows {
+    for r in &rows {
         table.row(&[
-            n_atoms.to_string(),
-            secs(fully),
-            secs(partially),
-            format!("{:.1}x", partially / fully),
+            r.n_atoms.to_string(),
+            secs(r.fully_mt_seconds),
+            secs(r.partially_mt_seconds),
+            format!("{:.1}x", r.partially_mt_seconds / r.fully_mt_seconds),
         ]);
         csv.push(vec![
-            n_atoms.to_string(),
-            format!("{fully:.9}"),
-            format!("{partially:.9}"),
+            r.n_atoms.to_string(),
+            format!("{:.9}", r.fully_mt_seconds),
+            format!("{:.9}", r.partially_mt_seconds),
         ]);
     }
 
@@ -346,12 +558,13 @@ pub fn render_fig8(report: &SweepReport) -> Result<(), SweepError> {
         (Some(f), Some(l)) => (f, l),
         _ => return Err(HarnessError::MissingRow("any atom-count row").into()),
     };
-    let first_gap = first.2 - first.1;
-    let last_gap = last.2 - last.1;
+    let first_gap = first.partially_mt_seconds - first.fully_mt_seconds;
+    let last_gap = last.partially_mt_seconds - last.fully_mt_seconds;
     let checks = vec![
         format!(
             "  fully MT faster everywhere: {}",
-            rows.iter().all(|&(_, fully, partially)| fully < partially)
+            rows.iter()
+                .all(|r| r.fully_mt_seconds < r.partially_mt_seconds)
         ),
         format!(
             "  performance difference grows with atoms: {first_gap:.3} s -> {last_gap:.3} s (paper: 'increases with the increase in the number of atoms')"
@@ -368,57 +581,80 @@ pub fn render_fig8(report: &SweepReport) -> Result<(), SweepError> {
     .map_err(SweepError::Io)
 }
 
-/// Figure 9: runtime growth relative to the 256-atom run. The sweep stores
-/// absolute runtimes (so points are shared with fig7/fig8); normalization
-/// happens here, exactly as the experiment function did it.
+// ---------------------------------------------------------------- Figure 9
+
+/// One x-position of Figure 9: runtime relative to the 256-atom run.
+#[derive(Clone, Debug)]
+pub struct Fig9Row {
+    pub n_atoms: usize,
+    pub mta_relative: f64,
+    pub opteron_relative: f64,
+}
+
+/// Figure 9's rows: per atom count, the fully multithreaded MTA-2 point
+/// then the Opteron point, each divided by its 256-atom run. The sweep
+/// stores absolute runtimes (so points are shared with fig7/fig8); this is
+/// the one place they are normalized.
+pub fn fig9_rows(report: &SweepReport) -> Result<Vec<Fig9Row>, SweepError> {
+    let mta = DeviceKind::Mta {
+        mode: ThreadingMode::FullyMultithreaded,
+    };
+    let runs = paired_series(report, [mta, DeviceKind::Opteron])?;
+    let &(_, mta0, opt0) = runs.first().filter(|r| r.0 == 256).ok_or_else(|| {
+        HarnessError::InvalidInput(
+            "figure 9 normalizes to the 256-atom run; pass counts starting at 256".into(),
+        )
+    })?;
+    Ok(runs
+        .iter()
+        .map(|&(n_atoms, mta, opt)| Fig9Row {
+            n_atoms,
+            mta_relative: mta / mta0,
+            opteron_relative: opt / opt0,
+        })
+        .collect())
+}
+
+/// Figure 9: runtime growth relative to the 256-atom run, MTA vs Opteron.
+/// The paper's point: the MTA's growth tracks the floating-point work; the
+/// Opteron's grows faster once the arrays outgrow its caches.
 pub fn render_fig9(report: &SweepReport) -> Result<(), SweepError> {
     let steps = PAPER_STEPS;
     let title =
         format!("Figure 9 — increase in runtime with respect to the 256-atom run ({steps} steps)");
-    // Spec order per size: MTA fully-MT then Opteron.
-    let runs: Vec<(usize, f64, f64)> = paired_series(report)?;
-    if runs.first().map(|r| r.0) != Some(256) {
-        return Err(HarnessError::InvalidInput(
-            "figure 9 normalizes to the 256-atom run; pass counts starting at 256".into(),
-        )
-        .into());
-    }
-    let (_, mta0, opt0) = runs[0];
-    let rows: Vec<(usize, f64, f64)> = runs
-        .iter()
-        .map(|&(n, mta, opt)| (n, mta / mta0, opt / opt0))
-        .collect();
+    let rows = fig9_rows(report)?;
 
     let mut table = Table::new(&["atoms", "MTA (relative)", "Opteron (relative)"]);
     let mut csv = Vec::new();
-    for &(n_atoms, mta_relative, opteron_relative) in &rows {
+    for r in &rows {
         table.row(&[
-            n_atoms.to_string(),
-            format!("{mta_relative:.1}"),
-            format!("{opteron_relative:.1}"),
+            r.n_atoms.to_string(),
+            format!("{:.1}", r.mta_relative),
+            format!("{:.1}", r.opteron_relative),
         ]);
         csv.push(vec![
-            n_atoms.to_string(),
-            format!("{mta_relative:.4}"),
-            format!("{opteron_relative:.4}"),
+            r.n_atoms.to_string(),
+            format!("{:.4}", r.mta_relative),
+            format!("{:.4}", r.opteron_relative),
         ]);
     }
 
     // The two curves track each other while the Opteron's arrays still fit
     // in cache; the divergence appears "as the array sizes become larger
     // than the cache capacities" (24·N bytes > 64 KB L1 at N ≳ 2700).
-    let &(last_n, last_mta, last_opt) = rows
+    let last = rows
         .last()
         .ok_or(HarnessError::MissingRow("any atom-count row"))?;
     let checks = vec![
         format!(
             "  Opteron grows faster than MTA past cache capacity: {}",
             rows.iter()
-                .filter(|r| r.0 >= 4096)
-                .all(|&(_, mta, opt)| opt > mta)
+                .filter(|r| r.n_atoms >= 4096)
+                .all(|r| r.opteron_relative > r.mta_relative)
         ),
         format!(
-            "  at {last_n} atoms: Opteron x{last_opt:.0} vs MTA x{last_mta:.0} (paper: 'runtime on the Opteron increases at a relatively faster rate ... the effect of cache misses')"
+            "  at {} atoms: Opteron x{:.0} vs MTA x{:.0} (paper: 'runtime on the Opteron increases at a relatively faster rate ... the effect of cache misses')",
+            last.n_atoms, last.opteron_relative, last.mta_relative
         ),
         "  MTA growth tracks flop growth (proportional to N² work), no cache knee".to_string(),
     ];
@@ -578,4 +814,81 @@ pub fn bench_host_json(
     }
     out.push_str("  ]\n}\n");
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(flags: &[&str]) -> Vec<String> {
+        flags.iter().map(|f| f.to_string()).collect()
+    }
+
+    /// `spec` restricted to `sizes`, one step per point, run cold.
+    fn small(mut spec: SweepSpec, sizes: &[usize]) -> SweepReport {
+        spec.points.retain(|p| sizes.contains(&p.n_atoms));
+        for p in &mut spec.points {
+            p.steps = 1;
+        }
+        let cfg = EngineConfig {
+            use_cache: false,
+            jobs: 1,
+            ..EngineConfig::default()
+        };
+        crate::engine::run_sweep(&spec, &cfg).expect("small sweep runs")
+    }
+
+    #[test]
+    fn figure_flags_set_the_engine_config() {
+        let cfg = figure_config(&[]).expect("no flags is valid");
+        assert!(cfg.use_cache);
+        assert_eq!(cfg.host_threads, EngineConfig::default().host_threads);
+        let cfg = figure_config(&args(&["--no-cache"])).expect("known flag");
+        assert!(!cfg.use_cache);
+        let cfg = figure_config(&args(&["--host-threads", "8"])).expect("known flag");
+        assert_eq!((cfg.host_threads, cfg.jobs), (8, 1));
+    }
+
+    #[test]
+    fn unknown_flags_and_bad_values_are_rejected() {
+        for bad in [
+            &["--bogus"][..],
+            &["fig7"],
+            &["--no-cache", "--jobs", "2"],
+            &["--host-threads"],
+            &["--host-threads", "x"],
+        ] {
+            let err = figure_config(&args(bad)).expect_err("must be rejected");
+            assert!(!err.is_empty(), "{bad:?}");
+        }
+    }
+
+    #[test]
+    fn fig9_rows_normalize_to_the_256_atom_run() {
+        let rows = fig9_rows(&small(crate::spec::fig9(), &[256, 512])).expect("baseline present");
+        assert_eq!(rows.len(), 2);
+        assert_eq!(rows[0].mta_relative, 1.0);
+        assert_eq!(rows[0].opteron_relative, 1.0);
+        assert!(rows[1].mta_relative > 1.0);
+    }
+
+    #[test]
+    fn fig9_rows_require_the_256_atom_baseline() {
+        let err = fig9_rows(&small(crate::spec::fig9(), &[512, 1024]))
+            .expect_err("baseline rule must be enforced");
+        assert!(
+            err.to_string().contains("256"),
+            "error should name the required baseline: {err}"
+        );
+    }
+
+    #[test]
+    fn paired_extractors_reject_another_figures_series() {
+        let fig9 = small(crate::spec::fig9(), &[256]);
+        assert!(fig7_rows(&fig9).is_err());
+        assert!(fig8_rows(&fig9).is_err());
+        assert!(fig5_rows(&fig9).is_err());
+        assert!(fig6_cases(&fig9).is_err());
+        assert!(table1_data(&fig9).is_err());
+    }
 }

@@ -12,13 +12,13 @@
 //! equality is asserted on the returned [`SystemCheckpoint`] (f32 devices
 //! widen losslessly to f64 at capture, so the comparison stays bitwise).
 
-use harness::experiments::faulted::FaultedExperiments;
 use harness::{run_supervised, DeviceKind, GpuModel, SupervisorConfig};
 use md_core::device::{DeviceRun, RunOptions};
 use md_core::params::SimConfig;
 use mta::ThreadingMode;
 use proptest::prelude::*;
 use sim_fault::FaultPlan;
+use sim_sweep::registry;
 
 const PAPER_ATOMS: usize = 2048;
 const PAPER_STEPS: usize = 10;
@@ -155,27 +155,56 @@ fn supervised_recovery_is_bit_identical_and_strictly_slower() {
 }
 
 /// Every paper experiment completes under nonzero fault rates — retries,
-/// checkpoints, and fallbacks included — with zero panics. Reduced sizes
-/// keep the suite fast; the mechanisms exercised are the same.
+/// checkpoints, and fallbacks included — with zero panics. Each distinct
+/// device of the registry's paper specs runs once, supervised, at a reduced
+/// size; the mechanisms exercised are the same. The steps-0 fig5 probes
+/// time one force evaluation and have no fault sites, so they run once,
+/// unsupervised.
 #[test]
 fn all_paper_experiments_complete_under_faults() {
-    let faulted = FaultedExperiments::new(99, 0.05);
-    let fig5 = faulted.fig5(512).expect("fig5 completes under faults");
-    assert_eq!(fig5.len(), 6);
-    let fig6 = faulted.fig6(512, 3).expect("fig6 completes under faults");
-    assert_eq!(fig6.len(), 4);
-    let t1 = faulted
-        .table1(512, 4)
-        .expect("table1 completes under faults");
-    assert!(t1.opteron_seconds > 0.0 && t1.cell_8spe_seconds > 0.0);
-    let fig7 = faulted.fig7(&[128, 256], 2);
-    assert!(fig7.iter().all(|r| r.gpu_seconds > 0.0));
-    let fig8 = faulted.fig8(&[256, 512], 2);
-    assert!(fig8.iter().all(|r| r.fully_mt_seconds > 0.0));
-    let fig9 = faulted
-        .fig9(&[256, 512], 2)
-        .expect("fig9 completes under faults");
-    assert_eq!(fig9[0].mta_relative, 1.0);
+    const ATOMS: usize = 512;
+    const STEPS: usize = 4;
+    let plan = FaultPlan::new(99, 0.05);
+    let sim = SimConfig::reduced_lj(ATOMS);
+    let mut completed: Vec<DeviceKind> = Vec::new();
+    for spec in registry() {
+        if matches!(spec.name, "bench_seed" | "scenario_matrix") {
+            continue;
+        }
+        for p in &spec.points {
+            let kind = p.device;
+            if completed.contains(&kind) {
+                continue;
+            }
+            let label = format!("{}: {}", spec.name, kind.label());
+            if p.steps == 0 {
+                let probe = kind
+                    .build_faulted(plan)
+                    .run(&sim, RunOptions::steps(0))
+                    .unwrap_or_else(|e| panic!("{label} completes under faults: {e}"));
+                assert!(probe.sim_seconds > 0.0, "{label}");
+            } else {
+                let mut dev = kind.build_faulted(plan);
+                let run = run_supervised(
+                    dev.as_mut(),
+                    &sim,
+                    STEPS,
+                    &SupervisorConfig::default(),
+                    None,
+                );
+                assert!(
+                    run.sim_seconds.is_finite() && run.sim_seconds > 0.0,
+                    "{label}"
+                );
+                assert_eq!(run.checkpoint.step, STEPS as u64, "{label}");
+                assert!(run.energies.total.is_finite(), "{label}");
+            }
+            completed.push(kind);
+        }
+    }
+    // Six fig5 probes, four fig6 Cell cases, the PPE, the Opteron, the GPU
+    // and both MTA threading modes.
+    assert_eq!(completed.len(), 15, "{completed:?}");
 }
 
 /// A hopeless fault rate cannot break completion either: the supervisor

@@ -11,9 +11,7 @@
 //! All devices run through the unified [`MdDevice`](md_core::device::MdDevice)
 //! API; "plain" and "counted" runs differ only in `RunOptions::with_perf`.
 
-use cell_be::CellRunConfig;
-use harness::perf;
-use harness::{DeviceKind, GpuModel};
+use harness::{device_metrics, DeviceKind, GpuModel};
 use md_core::checkpoint::SystemCheckpoint;
 use md_core::device::{DeviceRun, RunOptions};
 use md_core::params::SimConfig;
@@ -26,6 +24,17 @@ const PAPER_STEPS: usize = 10;
 
 fn paper_sim() -> SimConfig {
     SimConfig::reduced_lj(PAPER_ATOMS)
+}
+
+const GPU: DeviceKind = DeviceKind::Gpu {
+    model: GpuModel::GeForce7900Gtx,
+};
+
+/// The metrics record of one fault-free run of `kind`.
+fn metrics(kind: DeviceKind, sim: &SimConfig) -> sim_perf::RunMetrics {
+    device_metrics(kind, sim, PAPER_STEPS)
+        .unwrap_or_else(|e| panic!("{}: {e}", kind.label()))
+        .0
 }
 
 /// Exact bit pattern of a trajectory (positions then velocities).
@@ -91,8 +100,20 @@ fn opteron_counters_are_free_at_paper_scale() {
 #[test]
 fn attribution_partitions_sim_seconds_on_every_device() {
     let sim = paper_sim();
-    let mut all = perf::standard_metrics(&sim, PAPER_STEPS).expect("all devices run");
-    all.push(perf::mta_metrics(&sim, PAPER_STEPS, ThreadingMode::PartiallyMultithreaded).0);
+    let all: Vec<_> = [
+        DeviceKind::cell_best(),
+        GPU,
+        DeviceKind::Opteron,
+        DeviceKind::Mta {
+            mode: ThreadingMode::FullyMultithreaded,
+        },
+        DeviceKind::Mta {
+            mode: ThreadingMode::PartiallyMultithreaded,
+        },
+    ]
+    .into_iter()
+    .map(|kind| metrics(kind, &sim))
+    .collect();
     assert_eq!(all.len(), 5);
     for m in &all {
         m.validate()
@@ -116,7 +137,7 @@ fn attribution_partitions_sim_seconds_on_every_device() {
 fn gpu_is_transfer_dominated_at_small_n_and_compute_dominated_at_2048() {
     for n in [256usize, 512] {
         let sim = SimConfig::reduced_lj(n);
-        let (m, _) = perf::gpu_metrics(&sim, PAPER_STEPS);
+        let m = metrics(GPU, &sim);
         let transfer = m.derived_value("transfer_overhead_fraction");
         let compute = m.derived_value("compute_fraction");
         assert!(
@@ -124,7 +145,7 @@ fn gpu_is_transfer_dominated_at_small_n_and_compute_dominated_at_2048() {
             "at N={n} transfer ({transfer:.3}) must dominate compute ({compute:.3})"
         );
     }
-    let (m, _) = perf::gpu_metrics(&paper_sim(), PAPER_STEPS);
+    let m = metrics(GPU, &paper_sim());
     let transfer = m.derived_value("transfer_overhead_fraction");
     let compute = m.derived_value("compute_fraction");
     assert!(
@@ -141,7 +162,7 @@ fn opteron_memory_stall_fraction_strictly_increases_with_n() {
     let mut last = 0.0f64;
     for n in [256usize, 512, 1024, 2048] {
         let sim = SimConfig::reduced_lj(n);
-        let (m, _) = perf::opteron_metrics(&sim, PAPER_STEPS);
+        let m = metrics(DeviceKind::Opteron, &sim);
         let f = m.derived_value("memory_stall_fraction");
         assert!(
             f > last,
@@ -156,8 +177,7 @@ fn opteron_memory_stall_fraction_strictly_increases_with_n() {
 /// nothing to the critical path.
 #[test]
 fn cell_dma_is_overlapped_at_8_spes() {
-    let (m, _) =
-        perf::cell_metrics(&paper_sim(), PAPER_STEPS, CellRunConfig::best()).expect("cell run");
+    let m = metrics(DeviceKind::cell_best(), &paper_sim());
     assert!(
         m.counter_value("cell.dma.bytes_in") > 0.0,
         "DMA must actually move data"
@@ -175,8 +195,18 @@ fn cell_dma_is_overlapped_at_8_spes() {
 #[test]
 fn mta_full_mt_is_stall_free_and_partial_mt_is_not() {
     let sim = paper_sim();
-    let (full, _) = perf::mta_metrics(&sim, PAPER_STEPS, ThreadingMode::FullyMultithreaded);
-    let (partial, _) = perf::mta_metrics(&sim, PAPER_STEPS, ThreadingMode::PartiallyMultithreaded);
+    let full = metrics(
+        DeviceKind::Mta {
+            mode: ThreadingMode::FullyMultithreaded,
+        },
+        &sim,
+    );
+    let partial = metrics(
+        DeviceKind::Mta {
+            mode: ThreadingMode::PartiallyMultithreaded,
+        },
+        &sim,
+    );
     let full_phantom = full.derived_value("phantom_fraction");
     let partial_phantom = partial.derived_value("phantom_fraction");
     assert!(
